@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -38,6 +39,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -612,6 +614,7 @@ int run(const Args& args) {
     // Batch i arrives at (i + 1) / (cycles + 1) of the stream; cycles run
     // one after another, so a slow one delays the next (and shows in its
     // freshness).
+    std::atomic<bool> appends_done{false};
     std::jthread appender([&] {
       for (std::size_t i = 0; i < w.append_cycles; ++i) {
         const double ready = sched.start + args.seconds * static_cast<double>(i + 1) /
@@ -621,9 +624,27 @@ int run(const Args& args) {
         cycles.push_back(run_append_cycle(job, *daemon, ready, static_cast<int>(i), append_log));
         if (!cycles.back().ok) break;
       }
+      appends_done.store(true);
     });
     stream = run_open_loop(daemon->endpoint(), clients, pool, 0, sched, stream_count,
                            tr ? &gen_logs : nullptr);
+    // Appends that outlast the stream (a slow host, or a slow append path)
+    // keep the same schedule going until the last reload has been answered,
+    // so freshness is still measured.  `cycles` is read only once the
+    // appender has finished writing it.
+    const auto last_reload_answered = [&] {
+      if (!appends_done.load()) return false;
+      if (cycles.empty() || !cycles.back().ok) return true;
+      return std::any_of(stream.begin(), stream.end(), [&](const Sent& s) {
+        return s.ok && s.send >= cycles.back().reload_observed;
+      });
+    };
+    while (!last_reload_answered()) {
+      const Schedule more{sched.due(stream.size()), rate};
+      std::vector<Sent> sent = run_open_loop(daemon->endpoint(), clients, pool, stream.size(),
+                                             more, 100, tr ? &gen_logs : nullptr);
+      std::move(sent.begin(), sent.end(), std::back_inserter(stream));
+    }
   }
   phase_done("stream");
   // The capacity search is not gated (see NOTES.md), so only the traced run
