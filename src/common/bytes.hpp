@@ -75,7 +75,9 @@ struct ByteReader {
                       std::to_string(at));
     need(static_cast<std::size_t>(n) * sizeof(T));
     std::vector<T> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), data + at, v.size() * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not receive
+    // even for a zero length.
+    if (!v.empty()) std::memcpy(v.data(), data + at, v.size() * sizeof(T));
     at += v.size() * sizeof(T);
     return v;
   }

@@ -410,6 +410,10 @@ class MafiaWorker {
     JoinStats pending_join;
     std::uint8_t pending_join_kernel = 0;
     std::size_t level = 1;
+    // Packed and Memcmp rescan the records every level; Auto and Bitmap
+    // count every level from the run index.
+    const bool rescan_kernel = opt_.populate.kernel == PopulateKernel::Packed ||
+                               opt_.populate.kernel == PopulateKernel::Memcmp;
 
     if (restored != nullptr) {
       // Continue from the restored level boundary — the state here is
@@ -454,27 +458,32 @@ class MafiaWorker {
       // provably the stored one, so its counts are the stored global
       // counts plus a batch-only populate pass.
       const AppendLevelMemo* base = base_memo(level, cdus);
-      // ---- Populate candidates (data parallel): each rank scans its N/p
-      // records in B-record chunks, then Reduce globalizes the counts.
-      UnitPopulator populator(grids_, cdus, opt_.populate);
-      // Kernel auxiliary memory (dominant under the bitmap kernel, whose
-      // index is used_bins × nrows bits) joins the budget.  Sized for the
-      // worst-case partition, not this rank's, so the collective guard
-      // throws on every rank or none.
-      check_budget(level, populator.auxiliary_component(),
-                   populator.auxiliary_bytes(ceil_div(
-                       static_cast<std::size_t>(n),
-                       static_cast<std::size_t>(p))));
+      // ---- Populate candidates (data parallel): each rank counts its N/p
+      // records — from the run index, or by rescanning them in B-record
+      // chunks — then Reduce globalizes the counts.
+      const BitmapIndex* index =
+          rescan_kernel ? nullptr : &run_index(level, base != nullptr);
+      UnitPopulator populator(grids_, cdus, opt_.populate, index);
+      if (rescan_kernel) {
+        // The lookup tables join the budget, sized for the worst-case
+        // partition, not this rank's, so the collective guard throws on
+        // every rank or none.
+        check_budget(level, populator.auxiliary_component(),
+                     populator.auxiliary_bytes(ceil_div(
+                         static_cast<std::size_t>(n),
+                         static_cast<std::size_t>(p))));
+      }
       {
         PhaseTracer::Scope sp(tracer_, "populate");
-        if (base != nullptr) {
-          scan_batch("populate", [&](const Value* rows, std::size_t nrows) {
+        if (rescan_kernel) {
+          const ChunkFn accumulate = [&](const Value* rows, std::size_t nrows) {
             populator.accumulate(rows, nrows);
-          });
-        } else {
-          scan_local("populate", [&](const Value* rows, std::size_t nrows) {
-            populator.accumulate(rows, nrows);
-          });
+          };
+          if (base != nullptr) {
+            scan_batch("populate", accumulate);
+          } else {
+            scan_local("populate", accumulate);
+          }
         }
         comm_.allreduce_sum(populator.counts());
         // Seed AFTER the allreduce: the stored counts are already global,
@@ -796,6 +805,36 @@ class MafiaWorker {
     }
   }
 
+  /// The run index `level` counts from: over this rank's append batch
+  /// while the level reuses stored counts, over its whole partition
+  /// otherwise.  Built on first use with one record pass, and charged to
+  /// the budget then, sized for the worst-case partition so the guard
+  /// throws on every rank or none.  An append whose reuse chain breaks
+  /// swaps the batch index for the full one once; the chain never resumes.
+  const BitmapIndex& run_index(std::size_t level, bool batch_only) {
+    if (index_ && index_batch_only_ == batch_only) return *index_;
+    PhaseTracer::Scope sp(tracer_, "populate");
+    const BlockRange& range = batch_only ? my_batch_ : my_records_;
+    const std::size_t records =
+        static_cast<std::size_t>(data_.num_records()) -
+        (batch_only ? static_cast<std::size_t>(opt_.append->base_records) : 0);
+    check_budget(level, "populate bitmap index",
+                 BitmapIndex::bytes_for(
+                     grids_.total_bins(),
+                     ceil_div(records, static_cast<std::size_t>(comm_.size()))));
+    index_.emplace(grids_, range.end - range.begin);
+    index_batch_only_ = batch_only;
+    const ChunkFn add = [this](const Value* rows, std::size_t nrows) {
+      index_->add(rows, nrows);
+    };
+    if (batch_only) {
+      scan_batch("populate", add);
+    } else {
+      scan_local("populate", add);
+    }
+    return *index_;
+  }
+
   // ----------------------------------------------------- checkpoint/resume
 
   /// Collective resume decision.  Rank 0 scans the checkpoint directory for
@@ -963,6 +1002,10 @@ class MafiaWorker {
   std::optional<PipelinedSource> pipelined_;
   BlockRange my_records_;
   std::uint64_t fingerprint_ = 0;
+
+  // The run index (see run_index) and whether it covers only the batch.
+  std::optional<BitmapIndex> index_;
+  bool index_batch_only_ = false;
 
   // Append-base sections recorded for the final checkpoint (checkpointed
   // runs only): attribute domains, the global fine histogram, and the

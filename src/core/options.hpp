@@ -143,10 +143,11 @@ struct MafiaOptions {
   /// io stats in the run report show the split.
   IoConfig io;
 
-  /// Populate-kernel tuning: the record-block size of the subspace-major
-  /// sweep and the lookup-kernel selection (Auto = packed integer keys for
-  /// k <= 8 subspaces, byte-row memcmp beyond).  The chosen kernels are
-  /// surfaced in the run report's populate_kernel object.
+  /// Populate-kernel selection and tuning: Auto (= Bitmap) counts every
+  /// level from a bitmap index each rank builds once per run over its
+  /// partition; Packed and Memcmp rescan the records every level in
+  /// O(chunk) memory, with block_records as their sweep block.  The chosen
+  /// kernels are surfaced in the run report's populate_kernel object.
   PopulateConfig populate;
 
   /// tau: below this many units, task-parallel phases degenerate to every
@@ -208,8 +209,10 @@ struct MafiaOptions {
 
   /// Graceful degradation: hard cap, in bytes, on one level's memory
   /// components — the CDU stores (dim/bin byte arrays plus the count
-  /// vector) and the kernels' auxiliary structures (the populate bitmap
-  /// index sized for the worst-case partition, the join bucket index).
+  /// vector) and the kernels' auxiliary structures (the run's populate
+  /// bitmap index, charged when it is built, or the rescan kernels' lookup
+  /// tables, both sized for the worst-case partition; the join bucket
+  /// index).
   /// Exceeding it throws mafia::ResourceError naming the level and the
   /// offending component instead of OOM-ing mid-allocation.  0 = unlimited.
   std::size_t max_cdu_bytes = 0;

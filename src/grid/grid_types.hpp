@@ -46,9 +46,18 @@ struct DimensionGrid {
   [[nodiscard]] BinId bin_of(Value v) const {
     if (v <= edges.front()) return 0;
     if (v >= edges.back()) return static_cast<BinId>(num_bins() - 1);
-    // upper_bound: first edge strictly greater than v; bin = index - 1.
-    const auto it = std::upper_bound(edges.begin(), edges.end(), v);
-    return static_cast<BinId>((it - edges.begin()) - 1);
+    // upper_bound - 1, branch-free: the last edge e with !(v < e).  The
+    // comparison feeds a conditional move, so binning every value of a
+    // record pass does not stall on data-dependent branches.
+    const Value* e = edges.data();
+    std::size_t base = 0;
+    std::size_t n = edges.size();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      base = !(v < e[base + half]) ? base + half : base;
+      n -= half;
+    }
+    return static_cast<BinId>(base);
   }
 
   /// Validates structural invariants; throws mafia::Error on violation.

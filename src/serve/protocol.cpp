@@ -71,8 +71,12 @@ QueryBatch decode_query(const std::uint8_t* data, std::size_t size,
   QueryBatch batch;
   batch.num_dims = num_dims;
   batch.values.resize(static_cast<std::size_t>(num_rows) * num_dims);
-  std::memcpy(batch.values.data(), data + kShapeBytes,
-              batch.values.size() * sizeof(Value));
+  // A zero-row batch leaves data() possibly null, which memcpy must not
+  // receive even for a zero length.
+  if (!batch.values.empty()) {
+    std::memcpy(batch.values.data(), data + kShapeBytes,
+                batch.values.size() * sizeof(Value));
+  }
   return batch;
 }
 

@@ -235,8 +235,13 @@ void ServeServer::serve() {
   accept_loop();
 
   // Drain: workers finish (and answer) the frame in flight, then exit;
-  // connections still queued are closed unanswered below.
-  stop_.store(true);
+  // connections still queued are closed unanswered below.  The flag is set
+  // under the queue mutex: a worker that has checked the wait predicate
+  // but not yet blocked would otherwise miss the notify and sleep forever.
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stop_.store(true);
+  }
   queue_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
   workers_.clear();

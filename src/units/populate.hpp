@@ -2,74 +2,72 @@
 //
 // This is the I/O-bound, data-parallel phase the paper says dominates run
 // time ("bulk of the time is taken in populating the candidate dense units
-// which is completely data parallel", Section 5.3).  Each rank scans its
-// N/p records in B-record chunks, accumulates local counts, and the driver
-// Reduce-sums them.
+// which is completely data parallel", Section 5.3).  Each rank counts its
+// N/p records, and the driver Reduce-sums the local counts.
 //
-// Implementation: a record lies in CDU {(d₁,b₁)..(d_k,b_k)} iff its bin
-// index in dimension dᵢ equals bᵢ for all i (adaptive bins tile each
-// dimension, so each value maps to exactly one bin).  The populator
-// pre-groups CDUs by their dimension set (subspace) and processes records
-// in cache-sized blocks with a subspace-major inner loop: each block's
-// per-dimension bin indices are computed once into a column buffer, then
-// every subspace sweeps the whole block while its lookup structure stays
-// hot in cache.  The block sweep is self-contained per block range, so the
-// kernel is trivially splittable for future intra-rank threading.
+// A record lies in CDU {(d₁,b₁)..(d_k,b_k)} iff its bin index in dimension
+// dᵢ equals bᵢ for all i (adaptive bins tile each dimension, so each value
+// maps to exactly one bin).  Two families of kernels count that
+// (PopulateKernel selects; Auto is the bitmap index):
 //
-// Per-subspace lookup kernels (PopulateKernel selects; Auto is Packed):
-//   * packed/sorted  (k <= 8): the k bin bytes of each CDU row pack into
-//     one uint64 (pack_bin_key); a record's projected tuple packs the same
-//     way and a branchless lower_bound over the flat sorted key array
-//     replaces the per-record memcmp binary search.
-//   * packed/hash (k <= 8, high CDU count): an open-addressing exact-match
-//     table over the packed keys turns the lookup into O(1) probes.
-//   * memcmp (k > 8, or forced): binary search of the projected k-byte row
-//     against the subspace's lexicographically sorted CDU rows — the
-//     fallback contract for units wider than a packed key.
+//   * bitmap index (units/bitmap_index.hpp): one bitset per (dim, bin),
+//     a unit's count is the popcount of the AND of its k bitsets.  The
+//     driver builds the index once per run over each rank's partition and
+//     counts every level from it, handing it to the populator through the
+//     constructor; standalone callers feed the populator's own index
+//     through accumulate() instead.  Memory is bins × rows bits (see
+//     auxiliary_bytes), which is why the driver charges it to
+//     --max-cdu-bytes.
+//   * rescan kernels (Packed, Memcmp): Algorithm 2 as the paper runs it —
+//     every level rescans the records in cache-sized blocks with a
+//     subspace-major inner loop.  Each block's per-dimension bin indices
+//     are computed once into a column buffer, then every subspace sweeps
+//     the whole block while its lookup structure stays hot in cache:
+//       - packed/sorted (k <= 8): the k bin bytes of each CDU row pack into
+//         one uint64 (pack_bin_key); a record's projected tuple packs the
+//         same way and a branchless lower_bound over the flat sorted key
+//         array replaces the per-record memcmp binary search.
+//       - packed/hash (k <= 8, high CDU count): an open-addressing
+//         exact-match table over the packed keys turns the lookup into
+//         O(1) probes.
+//       - memcmp (k > 8, or forced): binary search of the projected k-byte
+//         row against the subspace's lexicographically sorted CDU rows.
+//     Their memory is O(chunk) whatever the record count, so they are the
+//     choice when the index does not fit.
 // All kernels count duplicate CDU rows correctly (identical candidates
 // sort adjacently; the hash table points at the first row of an equal
-// run), so the contract holds with or without a prior dedup pass.
-//
-// The Bitmap kernel (gpumafia's build_bitmaps/count_points_bitmaps model)
-// inverts the loop structure entirely: the data pass builds one bitset of
-// nrows bits per (dim, bin) pair used by any CDU, and a unit's count is
-// then the popcount of the AND of its k bitmaps — a branch-free,
-// vectorizable reduction over 64-bit words (AVX2/NEON fast path,
-// std::popcount fallback).  Bitmap construction happens inside the same
-// chunked accumulate() pass as the other kernels, so it composes with the
-// pipelined source and SPMD per-rank record ranges; the AND+popcount
-// finalization is deferred to the first counts() access after the scan.
-// Memory is bits = used_bins × nrows (see auxiliary_bytes), which is why
-// the driver folds it into the --max-cdu-bytes budget.
+// run; the index counts each CDU on its own), so the contract holds with
+// or without a prior dedup pass.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "grid/grid_types.hpp"
+#include "units/bitmap_index.hpp"
 #include "units/unit_store.hpp"
 
 namespace mafia {
 
-/// Lookup-kernel selection for UnitPopulator.  Auto picks the packed-key
-/// kernels whenever the unit dimensionality allows (k <= kPackedKeyMaxDims)
-/// and is the production default; Memcmp forces the byte-row binary-search
-/// path everywhere (the k > 8 fallback), kept selectable for the
-/// oracle-differential tests and the bench_populate_kernel A/B.  Bitmap
-/// switches to per-(dim, bin) record-membership bitsets with AND+popcount
-/// counting — any k, wins when bins are few relative to records, loses
-/// when the used-bin count (and so the index) grows (the bench reports the
-/// crossover).
+/// Kernel selection for UnitPopulator and the driver.  Auto (the production
+/// default) and Bitmap both count from the per-(dim, bin) bitmap index —
+/// in the driver, the run index built once per rank.  Packed and Memcmp
+/// are the O(chunk)-memory rescan kernels: every level rescans the records,
+/// Packed with packed integer keys where k <= kPackedKeyMaxDims (memcmp
+/// beyond), Memcmp with the byte-row binary search everywhere.  They stay
+/// selectable for runs whose index does not fit the memory budget, the
+/// oracle-differential tests, and the bench_populate_kernel A/B.
 enum class PopulateKernel { Auto, Packed, Memcmp, Bitmap };
 
 /// Tuning knobs for the populate kernel (defaults are the production
 /// configuration; the bench and the differential tests sweep them).
 struct PopulateConfig {
-  /// Records per block of the subspace-major sweep.  The block's bin
-  /// columns occupy block_records * num_dims bytes; the default keeps them
-  /// comfortably inside L2 for the paper's dimensionalities.
+  /// Records per block of the rescan kernels' subspace-major sweep.  The
+  /// block's bin columns occupy block_records * num_dims bytes; the default
+  /// keeps them comfortably inside L2 for the paper's dimensionalities.
   std::size_t block_records = 2048;
 
   /// Kernel selection (see PopulateKernel).
@@ -101,8 +99,8 @@ struct PopulateKernelStats {
   std::size_t memcmp_subspaces = 0;
   std::size_t bitmap_subspaces = 0;
   std::size_t block_records = 0;
-  /// Peak bitmap-index footprint over the run's levels (bitset words plus
-  /// the (dim, bin) -> bitmap id map); 0 unless the Bitmap kernel ran.
+  /// Peak bitmap-index footprint over the run's levels (bytes mapped for
+  /// the bitsets); 0 unless the bitmap index counted.
   std::size_t bitmap_bytes = 0;
   /// Total 64-bit words ANDed by the bitmap count finalization, summed
   /// over all levels — the work metric of the AND+popcount reduction.
@@ -121,29 +119,35 @@ struct PopulateKernelStats {
 
 class UnitPopulator {
  public:
-  /// Prepares lookup structures for counting membership in `cdus` under
-  /// `grids`.  Both must outlive the populator.
+  /// Prepares counting membership in `cdus` under `grids`.  With `index`
+  /// (the driver's run index; it selects the bitmap kernel whatever
+  /// config.kernel says) the counts come from that prebuilt index and
+  /// accumulate() must not be called.  Without it, Auto and Bitmap index
+  /// the rows accumulate() sees in the populator's own index, and Packed
+  /// and Memcmp look each of them up.  `grids`, `cdus` and `index` must
+  /// outlive the populator.
   UnitPopulator(const GridSet& grids, const UnitStore& cdus,
-                const PopulateConfig& config = {});
+                const PopulateConfig& config = {},
+                const BitmapIndex* index = nullptr);
 
   /// Folds `nrows` row-major records (width = grids.num_dims()) into the
   /// local counts.
   void accumulate(const Value* rows, std::size_t nrows);
 
   /// Accumulates `base` element-wise into the counts — the append path's
-  /// accumulate-into-existing-counts entry point.  Valid for all three
-  /// kernels: counts_ is the unified additive accumulator (the bitmap
-  /// kernel's pending rows are finalized first, so seeding and scanning
-  /// commute).  The SPMD driver seeds the stored global counts AFTER the
-  /// batch-only allreduce, so every rank adds the base exactly once.
-  /// Throws mafia::Error when any sum would overflow Count.
+  /// accumulate-into-existing-counts entry point.  Valid for every kernel:
+  /// counts_ is the unified additive accumulator (the bitmap kernel's
+  /// pending rows are counted first, so seeding and scanning commute).
+  /// The SPMD driver seeds the stored global counts AFTER the batch-only
+  /// allreduce, so every rank adds the base exactly once.  Throws
+  /// mafia::Error when any sum would overflow Count.
   void seed_counts(std::span<const Count> base);
 
   /// Local counts per CDU (index-aligned with the input store), mutable so
-  /// the parallel driver can allreduce_sum in place.  Under the Bitmap
-  /// kernel the first access after new accumulate() calls finalizes the
-  /// pending rows (AND+popcount over the words they touched); the counts
-  /// are append-consistent, so accumulate and counts may interleave.
+  /// the parallel driver can allreduce_sum in place.  Under the bitmap
+  /// kernel the first access after new rows counts them (AND+popcount over
+  /// the words they occupy); the counts are append-consistent, so
+  /// accumulate and counts may interleave.
   [[nodiscard]] std::vector<Count>& counts() {
     finalize_bitmap_counts();
     return counts_;
@@ -154,32 +158,32 @@ class UnitPopulator {
   }
 
   /// Number of distinct subspaces among the CDUs (exposed for tests/benches).
-  [[nodiscard]] std::size_t num_subspaces() const { return subspaces_.size(); }
+  [[nodiscard]] std::size_t num_subspaces() const { return num_subspaces_; }
 
   /// Per-kernel subspace counts for this populator (exposed for the run
-  /// report and the benches).  Under the Bitmap kernel the AND-work counter
-  /// is complete only once counts() has finalized the accumulated rows.
+  /// report and the benches).  Under the bitmap kernel the AND-work counter
+  /// is complete only once counts() has counted the indexed rows.
   [[nodiscard]] const PopulateKernelStats& kernel_stats() const { return stats_; }
 
   /// Kernel family this populator resolved to (Auto and the k > 8 packed
   /// fallback resolved): Packed, Memcmp, or Bitmap.  Recorded per level in
   /// the run trace.
   [[nodiscard]] PopulateKernel effective_kernel() const {
-    if (bitmap_) return PopulateKernel::Bitmap;
+    if (index_ != nullptr) return PopulateKernel::Bitmap;
     return packed_ ? PopulateKernel::Packed : PopulateKernel::Memcmp;
   }
 
   /// Kernel auxiliary memory needed to count `nrows` records: the bitmap
-  /// index (bitset words + bin map) under the Bitmap kernel, the lookup
-  /// tables (packed keys, hash slots, sorted byte rows) otherwise.  Callers
-  /// pass the worst-case partition size so a collective budget guard stays
-  /// rank-invariant.  See auxiliary_component() for the matching name.
+  /// index under the bitmap kernel, the lookup tables (packed keys, hash
+  /// slots, sorted byte rows) otherwise.  Callers pass the worst-case
+  /// partition size so a collective budget guard stays rank-invariant.
+  /// See auxiliary_component() for the matching name.
   [[nodiscard]] std::size_t auxiliary_bytes(std::size_t nrows) const;
 
   /// Human-readable name of the auxiliary-memory component measured by
   /// auxiliary_bytes(), for resource-error messages.
   [[nodiscard]] const char* auxiliary_component() const {
-    return bitmap_ ? "populate bitmap index" : "populate lookup tables";
+    return index_ != nullptr ? "populate bitmap index" : "populate lookup tables";
   }
 
  private:
@@ -192,44 +196,40 @@ class UnitPopulator {
     std::uint64_t slot_mask = 0;       // slots.size() - 1 (power of two)
     // Memcmp fallback (k > kPackedKeyMaxDims or forced):
     std::vector<BinId> sorted_bins;  // member CDU bin rows, lex-sorted, k-stride
-    // Bitmap kernel: k bitmap ids per member CDU, row-major in sorted order.
-    std::vector<std::uint32_t> bitmap_ids;
   };
 
   void sweep_packed_sorted(const Subspace& sub, std::size_t bn);
   void sweep_packed_hash(const Subspace& sub, std::size_t bn);
   void sweep_memcmp(const Subspace& sub, std::size_t bn);
 
-  /// Bitmap-kernel count finalization: for every member CDU, AND its k
-  /// bitmaps and popcount over the word range the rows accumulated since
-  /// the last finalization touched (bits are append-only and tail bits are
-  /// zero, so incremental word ranges sum to the full-scan answer).  No-op
-  /// for the other kernels or when no rows are pending; const because both
-  /// counts() overloads trigger it (counts_/stats_/watermark are mutable).
+  /// Bitmap-kernel counting: adds the rows indexed since the last call
+  /// (bits are append-only, so counting from the watermark sums to the
+  /// full-scan answer).  No-op for the rescan kernels or when no rows are
+  /// pending; const because both counts() overloads trigger it
+  /// (counts_/stats_/done_rows_ are mutable).
   void finalize_bitmap_counts() const;
 
   const GridSet& grids_;
+  const UnitStore& cdus_;
   std::size_t k_;
-  bool packed_;  // packed kernels active (k fits a key and not forced off)
-  bool bitmap_;  // bitmap kernel active (cfg_.kernel == Bitmap)
+  bool packed_;  // packed rescan kernels active (k fits a key, not forced off)
   PopulateConfig cfg_;
+  std::size_t num_subspaces_ = 0;
   mutable PopulateKernelStats stats_;
-  std::vector<Subspace> subspaces_;
   mutable std::vector<Count> counts_;
-  // Block-sweep scratch: per-dimension bin columns for the current block,
+  // Rescan kernels: subspaces with their lookup structures, and the
+  // block-sweep scratch — per-dimension bin columns for the current block,
   // dim-major (column j starts at j * block_records), filled only for
   // dimensions that occur in some subspace.
+  std::vector<Subspace> subspaces_;
   std::vector<BinId> col_bins_;
   std::vector<std::uint8_t> dim_used_;
   std::vector<BinId> key_scratch_;  // projected row buffer (memcmp path)
-  // Bitmap-kernel state.  bin_map_ maps (dim * kMaxBinsPerDim + bin) to a
-  // bitmap id (kNoBitmap for (dim, bin) pairs no CDU uses — those set no
-  // bits and cost no memory); bitmaps_ holds one word vector of
-  // ceil(nrows / 64) words per used pair, grown as accumulate() sees rows.
-  std::vector<std::uint32_t> bin_map_;
-  std::vector<std::vector<std::uint64_t>> bitmaps_;
-  std::size_t nrows_seen_ = 0;          // rows accumulated into the bitmaps
-  mutable std::size_t done_rows_ = 0;   // rows already folded into counts_
+  // Bitmap kernel: the index counted from (the caller's, or own_index_
+  // over the accumulated rows) and the rows already folded into counts_.
+  std::optional<BitmapIndex> own_index_;
+  const BitmapIndex* index_ = nullptr;
+  mutable std::size_t done_rows_ = 0;
 };
 
 }  // namespace mafia

@@ -393,7 +393,7 @@ TEST(CheckpointRestart, ResumeMayChangeChunkSizeAndKernel)
   const MafiaResult baseline = run_pmafia(source, base_options(), 2);
 
   for (const PopulateKernel kernel :
-       {PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
+       {PopulateKernel::Packed, PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
     ScratchDir dir("mafia_ckpt_knobs_" +
                    std::to_string(static_cast<int>(kernel)));
     MafiaOptions faulted = base_options();
@@ -452,9 +452,9 @@ TEST(ResourceBudget, ResourceErrorNamesTheOffendingComponent) {
         << e.what();
   }
 
-  // The bitmap kernel's index (one nrows-bit bitset per level-1 bin, plus
-  // the (dim,bin) map) dwarfs the level-1 candidate store; a budget between
-  // the two must pass the store check and then fail naming the index.
+  // The run's bitmap index (one bitset of partition-size bits per bin)
+  // dwarfs the level-1 candidate store; a budget between the two must pass
+  // the store check and then fail naming the index.
   MafiaOptions bitmap = base_options();
   bitmap.populate.kernel = PopulateKernel::Bitmap;
   bitmap.max_cdu_bytes = 4096;

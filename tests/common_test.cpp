@@ -1,9 +1,12 @@
 // Tests for the common utilities: block partitioning, math helpers,
-// timers, and the logging gate.
+// timers, the logging gate, and the byte codec.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
+#include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
@@ -131,6 +134,23 @@ TEST(Error, RequireThrowsWithMessage) {
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "exact message");
   }
+}
+
+// ------------------------------------------------------------- byte codec
+
+TEST(Bytes, EmptyVectorsRoundTrip) {
+  // Zero-length arrays occur in real payloads (an append base with no
+  // memo, a level with no unjoined units); reading one must not hand a
+  // null data() to memcpy.
+  ByteWriter w;
+  w.vec(std::vector<std::uint32_t>{});
+  w.vec(std::vector<std::uint8_t>{7, 8});
+  w.vec(std::vector<std::uint64_t>{});
+  ByteReader r{w.out.data(), w.out.size()};
+  EXPECT_TRUE(r.vec<std::uint32_t>().empty());
+  EXPECT_EQ(r.vec<std::uint8_t>(), (std::vector<std::uint8_t>{7, 8}));
+  EXPECT_TRUE(r.vec<std::uint64_t>().empty());
+  EXPECT_EQ(r.at, w.out.size());
 }
 
 }  // namespace

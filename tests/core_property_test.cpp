@@ -259,6 +259,7 @@ TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
   InMemorySource source(data);
   MafiaOptions reference;
   reference.fixed_domain = {{0.0f, 100.0f}};
+  reference.populate.kernel = PopulateKernel::Packed;
   const MafiaResult expect = run_mafia(source, reference);
 
   for (const PopulateKernel kernel :
@@ -294,6 +295,7 @@ TEST(Invariance, BitmapKernelIsRankInvariant) {
   MafiaOptions reference;
   reference.fixed_domain = {{0.0f, 100.0f}};
   reference.tau = 2;
+  reference.populate.kernel = PopulateKernel::Packed;
   const MafiaResult expect = run_pmafia(source, reference, 1);
 
   MafiaOptions options = reference;

@@ -1,14 +1,20 @@
 // Integration tests for the pMAFIA driver: planted-cluster recovery,
 // serial/parallel equivalence, the Table 2 binomial CDU trace, out-of-core
-// equivalence, registration of maximal units, and option handling.
+// equivalence, registration of maximal units, option handling, and how
+// often each start state (fresh, resumed, append) reads the records.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
 #include "datagen/workloads.hpp"
@@ -430,6 +436,198 @@ TEST(Core, SerialRunHasOnlyDegenerateCommunication) {
   const MafiaResult r = run_mafia(source, default_options());
   // p = 1: no point-to-point traffic at all.
   EXPECT_EQ(r.comm.p2p_messages, 0u);
+}
+
+// ------------------------------------------------------ record passes
+
+/// DataSource decorator counting how often each record is scanned.
+class CountingSource final : public DataSource {
+ public:
+  explicit CountingSource(const DataSource& inner)
+      : inner_(inner), hits_(static_cast<std::size_t>(inner.num_records()), 0) {}
+
+  [[nodiscard]] RecordIndex num_records() const override {
+    return inner_.num_records();
+  }
+  [[nodiscard]] std::size_t num_dims() const override { return inner_.num_dims(); }
+
+  void scan(RecordIndex begin, RecordIndex end, std::size_t chunk_records,
+            const ChunkFn& fn) const override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (RecordIndex r = begin; r < end; ++r) ++hits_[static_cast<std::size_t>(r)];
+    }
+    inner_.scan(begin, end, chunk_records, fn);
+  }
+
+  /// Scans per record over [begin, end), as {scans: records}.
+  [[nodiscard]] std::map<int, std::size_t> profile(RecordIndex begin,
+                                                   RecordIndex end) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::map<int, std::size_t> out;
+    for (RecordIndex r = begin; r < end; ++r) ++out[hits_[static_cast<std::size_t>(r)]];
+    return out;
+  }
+
+  void reset() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::fill(hits_.begin(), hits_.end(), 0);
+  }
+
+ private:
+  const DataSource& inner_;
+  mutable std::mutex mutex_;
+  mutable std::vector<int> hits_;
+};
+
+GeneratorConfig record_pass_config(RecordIndex records, std::uint64_t seed) {
+  GeneratorConfig cfg;
+  cfg.num_dims = 8;
+  cfg.num_records = records;
+  cfg.seed = seed;
+  cfg.clusters.push_back(ClusterSpec::box({1, 4, 6}, {30, 30, 30}, {45, 45, 45}));
+  return cfg;
+}
+
+/// A scratch checkpoint directory, removed on destruction.
+class CheckpointDir {
+ public:
+  explicit CheckpointDir(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               (name + "_" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~CheckpointDir() { std::filesystem::remove_all(path_); }
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+using Profile = std::map<int, std::size_t>;
+
+TEST(RecordPasses, FreshRunScansForTheHistogramAndTheIndexOnly) {
+  // The default kernel counts every level from the run index: one pass
+  // builds the histogram, one builds the index, and no level rescans.
+  const Dataset data = generate(record_pass_config(6000, 3));
+  InMemorySource inner(data);
+  CountingSource source(inner);
+  const RecordIndex n = data.num_records();
+  for (const int p : {1, 2, 3}) {
+    const MafiaResult r = run_pmafia(source, default_options(), p);
+    ASSERT_GE(r.levels.size(), 3u) << "p=" << p;
+    EXPECT_EQ(source.profile(0, n), (Profile{{2, n}})) << "p=" << p;
+    source.reset();
+  }
+}
+
+TEST(RecordPasses, ResumedRunScansOnce) {
+  // The grids come from the checkpoint, so only the index reads records.
+  const Dataset data = generate(record_pass_config(6000, 3));
+  InMemorySource inner(data);
+  CheckpointDir dir("mafia_core_resume_passes");
+  MafiaOptions opts = default_options();
+  opts.checkpoint.directory = dir.path();
+  const MafiaResult full = run_pmafia(inner, opts, 2);
+  ASSERT_GE(full.levels.size(), 3u);
+  // Keep only the boundary after level 1, so the resume runs every later
+  // level.
+  for (std::size_t level = 3; level <= full.levels.size() + 1; ++level) {
+    std::filesystem::remove(checkpoint_file_path(dir.path(), level));
+  }
+
+  CountingSource source(inner);
+  opts.checkpoint.resume = true;
+  const MafiaResult resumed = run_pmafia(source, opts, 2);
+  EXPECT_TRUE(resumed.recovery.resumed);
+  EXPECT_EQ(resumed.recovery.resume_level, 2u);
+  EXPECT_EQ(source.profile(0, data.num_records()),
+            (Profile{{1, data.num_records()}}));
+  ASSERT_EQ(resumed.levels.size(), full.levels.size());
+  for (std::size_t l = 0; l < full.levels.size(); ++l) {
+    EXPECT_EQ(resumed.levels[l].count_checksum, full.levels[l].count_checksum);
+  }
+}
+
+/// Base run checkpointed on `base` under `opts`, then an append at p = 2
+/// through `all`, the base followed by the batch.
+MafiaResult append_through(const Dataset& base, const DataSource& all,
+                           const std::string& dir, MafiaOptions opts) {
+  InMemorySource base_source(base);
+  opts.checkpoint.directory = dir;
+  (void)run_pmafia(base_source, opts, 2);
+  opts.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
+  return run_pmafia(all, opts, 2);
+}
+
+Dataset concat(const Dataset& a, const Dataset& b) {
+  Dataset all(a.num_dims());
+  all.append_rows(a);
+  all.append_rows(b);
+  return all;
+}
+
+TEST(RecordPasses, AppendWhoseChainHoldsScansOnlyTheBatch) {
+  const Dataset base = generate(record_pass_config(6000, 3));
+  const Dataset all = concat(base, generate(record_pass_config(7, 4)));
+  InMemorySource inner(all);
+  CountingSource source(inner);
+  CheckpointDir dir("mafia_core_append_reuse_passes");
+  const MafiaResult r =
+      append_through(base, source, dir.path(), default_options());
+  ASSERT_EQ(r.append.levels_rerun, 0u);
+  ASSERT_GE(r.append.levels_reused, 3u);
+  // The batch is read for the histogram and for its index; the base never.
+  const RecordIndex b = base.num_records();
+  EXPECT_EQ(source.profile(0, b), (Profile{{0, b}}));
+  EXPECT_EQ(source.profile(b, all.num_records()),
+            (Profile{{2, all.num_records() - b}}));
+}
+
+TEST(RecordPasses, AppendWhoseChainBreaksBuildsTheFullIndexOnce) {
+  // Every base record is read exactly once, by the full-partition index,
+  // whether the chain never arms or breaks after reusing a level.
+  GeneratorConfig noise = record_pass_config(0, 5);
+  noise.clusters.clear();
+  {
+    // Noise outweighing the base moves the adaptive edges: level 1 reruns.
+    // The batch is read for the histogram and by the full index.
+    const Dataset base = generate(record_pass_config(1000, 3));
+    noise.num_records = 4000;
+    const Dataset all = concat(base, generate(noise));
+    InMemorySource inner(all);
+    CountingSource source(inner);
+    CheckpointDir dir("mafia_core_append_rerun_passes");
+    const MafiaResult r =
+        append_through(base, source, dir.path(), default_options());
+    ASSERT_EQ(r.append.levels_reused, 0u);
+    const RecordIndex b = base.num_records();
+    EXPECT_EQ(source.profile(0, b), (Profile{{1, b}}));
+    EXPECT_EQ(source.profile(b, all.num_records()),
+              (Profile{{2, all.num_records() - b}}));
+  }
+  {
+    // A uniform grid cannot move, so level 1 reuses its stored counts; the
+    // noise then changes a later level's dense set.  The batch is read by
+    // the batch index and by the full index; no histogram pass.
+    const Dataset base = generate(record_pass_config(3000, 3));
+    noise.num_records = 200;
+    const Dataset all = concat(base, generate(noise));
+    InMemorySource inner(all);
+    CountingSource source(inner);
+    CheckpointDir dir("mafia_core_append_break_passes");
+    MafiaOptions opts = default_options();
+    opts.uniform_grid = MafiaOptions::UniformGridOverride{};
+    const MafiaResult r = append_through(base, source, dir.path(), opts);
+    ASSERT_GE(r.append.levels_reused, 1u);
+    ASSERT_GE(r.append.levels_rerun, 1u);
+    const RecordIndex b = base.num_records();
+    EXPECT_EQ(source.profile(0, b), (Profile{{1, b}}));
+    EXPECT_EQ(source.profile(b, all.num_records()),
+              (Profile{{2, all.num_records() - b}}));
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // uniform-dimension fallback, and the threshold formula alpha*N*a/D.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -225,6 +228,38 @@ TEST(AdaptiveGrid, BinOfMapsValuesAndClamps) {
   EXPECT_EQ(g.bin_of(100.0f), 2);
   EXPECT_EQ(g.bin_of(-5.0f), 0);    // clamp below
   EXPECT_EQ(g.bin_of(500.0f), 2);   // clamp above
+}
+
+TEST(DimensionGrid, BinOfMatchesUpperBoundAtEveryBinCount) {
+  // bin_of's branch-free search must agree with upper_bound - 1 (clamped to
+  // the domain) for every bin count a grid can have: on each edge, one ulp
+  // either side of it, and outside the domain.
+  std::uint32_t state = 12345;
+  for (std::size_t nbins = 1; nbins <= kMaxBinsPerDim; ++nbins) {
+    DimensionGrid g;
+    g.edges.push_back(-3.0f);
+    for (std::size_t b = 0; b < nbins; ++b) {
+      state = state * 1664525u + 1013904223u;
+      g.edges.push_back(g.edges.back() + 0.25f + static_cast<Value>(state >> 24) / 64.0f);
+    }
+    std::vector<Value> probes{g.edges.front() - 1.0f, g.edges.back() + 1.0f};
+    for (const Value e : g.edges) {
+      probes.push_back(e);
+      probes.push_back(std::nextafter(e, -std::numeric_limits<Value>::infinity()));
+      probes.push_back(std::nextafter(e, std::numeric_limits<Value>::infinity()));
+    }
+    for (const Value v : probes) {
+      std::size_t expected = 0;
+      if (v >= g.edges.back()) {
+        expected = nbins - 1;
+      } else if (v > g.edges.front()) {
+        expected = static_cast<std::size_t>(
+            std::upper_bound(g.edges.begin(), g.edges.end(), v) -
+            g.edges.begin() - 1);
+      }
+      ASSERT_EQ(g.bin_of(v), expected) << "nbins=" << nbins << " v=" << v;
+    }
+  }
 }
 
 TEST(AdaptiveGrid, FullPipelineFromHistogramBuilder) {

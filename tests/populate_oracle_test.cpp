@@ -25,14 +25,16 @@ namespace mafia {
 namespace {
 
 /// Kernel/block/table configurations every differential case runs under:
-/// both kernels, block sizes straddling the record counts (1 record, odd,
+/// every kernel, block sizes straddling the record counts (1 record, odd,
 /// power of two, larger than the data), and hash thresholds forcing the
 /// open-addressing table on and off.
 std::vector<PopulateConfig> kernel_matrix() {
   constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
   return {
-      {2048, PopulateKernel::Auto, 48},     // production defaults
-      {1, PopulateKernel::Auto, 48},        // single-record blocks
+      {2048, PopulateKernel::Auto, 48},     // production default: bitmap index
+      {1, PopulateKernel::Auto, 48},        // (the index ignores block size)
+      {2048, PopulateKernel::Packed, 48},   // packed rescan, default knobs
+      {1, PopulateKernel::Packed, 48},      // single-record blocks
       {3, PopulateKernel::Packed, 1},       // odd blocks, hash table always
       {64, PopulateKernel::Packed, kNever}, // sorted-array search always
       {2048, PopulateKernel::Memcmp, 48},   // forced byte-row fallback

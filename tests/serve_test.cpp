@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -417,6 +418,35 @@ TEST(ServeE2E, StaleUnixSocketPathIsReclaimedOnRestart) {
   RunningServer server(options);
   ServeClient client(server->endpoint());
   EXPECT_EQ(client.query(batch_of(make_test_rows(), 0, 2)).size(), 2u);
+}
+
+TEST(ServeE2E, IdleDaemonStopsWithinDeadlineEveryTime) {
+  // A stop can land while a worker sits between its wait predicate and the
+  // wait itself; unless the stop flag is published under the queue mutex,
+  // that worker misses the wakeup and the daemon never finishes stopping.
+  // Start and stop an idle daemon many times, each stop under a deadline.
+  const std::string model_path = write_test_model("idle_stop.model");
+  for (int round = 0; round < 100; ++round) {
+    ServeOptions options = unix_options(model_path, "idle_stop.sock");
+    options.serve_threads = 8;
+    auto server = std::make_unique<ServeServer>(options);
+    auto finished = std::make_shared<std::promise<void>>();
+    std::future<void> done = finished->get_future();
+    std::thread thread([daemon = server.get(), finished] {
+      daemon->serve();
+      finished->set_value();
+    });
+    server->stop();
+    if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+      // The hung serve() still uses the server: leave it alive and the
+      // thread detached rather than destroy the server under it.
+      thread.detach();
+      (void)server.release();
+      FAIL() << "serve() did not return within 10 s of stop() (round "
+             << round << ")";
+    }
+    thread.join();
+  }
 }
 
 }  // namespace
