@@ -17,10 +17,10 @@ namespace {
 constexpr char kCheckpointMagic[8] = {'M', 'A', 'F', 'I', 'A', 'C', 'K', 'P'};
 constexpr std::size_t kCheckpointHeaderBytes = 16;  // magic + version + crc
 
-// The byte stream (common/bytes.hpp) and the store/grid/level-trace codecs
+// The byte stream (common/bytes.hpp) and the store/grid codecs
 // (core/result_codec.hpp) are shared with the process backend's worker
 // result blob; this file owns only the checkpoint framing and the
-// loop-state fields around them.
+// level-record fields around them.
 
 }  // namespace
 
@@ -72,80 +72,39 @@ std::vector<std::uint8_t> serialize_checkpoint(const CheckpointState& state) {
   w.pod(state.fingerprint);
   w.pod(state.num_records);
   w.pod(state.num_dims);
-  w.pod(state.level);
-  w.pod(state.pending_raw_count);
-  w.pod(state.pending_join.buckets);
-  w.pod(state.pending_join.probes);
-  w.pod(state.pending_join.emitted);
-  w.pod(state.pending_join.repeats_fused);
-  w.pod(state.pending_join_kernel);
-  write_store(w, state.cdus);
-  write_store(w, state.prev_dense);
-  {
+  write_grids(w, state.grids);
+  w.vec(state.domain_lo);
+  w.vec(state.domain_hi);
+  w.vec(state.hist_counts);
+  w.pod(static_cast<std::uint64_t>(state.records.size()));
+  for (const LevelRecord& rec : state.records) {
+    w.pod(rec.level);
+    write_store(w, rec.cdus);
     // Parent index pairs pack into one u64 each (same wire trick as the
     // driver's gather of join parents).
-    std::vector<std::uint64_t> packed(state.parents.size());
-    for (std::size_t i = 0; i < state.parents.size(); ++i) {
-      packed[i] =
-          (static_cast<std::uint64_t>(state.parents[i].first) << 32) |
-          state.parents[i].second;
+    std::vector<std::uint64_t> packed(rec.parents.size());
+    for (std::size_t i = 0; i < rec.parents.size(); ++i) {
+      packed[i] = (static_cast<std::uint64_t>(rec.parents[i].first) << 32) |
+                  rec.parents[i].second;
     }
     w.vec(packed);
+    w.vec(rec.raw_to_unique);
+    w.pod(rec.pending_raw_count);
+    w.pod(rec.pending_join.buckets);
+    w.pod(rec.pending_join.probes);
+    w.pod(rec.pending_join.emitted);
+    w.pod(rec.pending_join.repeats_fused);
+    w.pod(rec.pending_join_kernel);
+    w.vec(rec.counts);
+    w.vec(rec.flags);
+    w.pod(rec.unjoined_dus);
+    w.pod(static_cast<std::uint64_t>(rec.unjoined_units.size()));
+    for (const std::string& u : rec.unjoined_units) w.str(u);
   }
-  w.vec(state.raw_to_unique);
-  write_grids(w, state.grids);
-  w.pod(static_cast<std::uint64_t>(state.levels.size()));
-  // Version 3 extended the per-level record with the kernel id, bitmap
-  // counters, and unjoined units (see write_level_trace).
-  for (const LevelTrace& t : state.levels) write_level_trace(w, t);
-  w.pod(static_cast<std::uint64_t>(state.registered.size()));
-  for (const UnitStore& store : state.registered) write_store(w, store);
-  w.pod(static_cast<std::uint64_t>(state.populate.packed_sorted_subspaces));
-  w.pod(static_cast<std::uint64_t>(state.populate.packed_hash_subspaces));
-  w.pod(static_cast<std::uint64_t>(state.populate.memcmp_subspaces));
-  w.pod(static_cast<std::uint64_t>(state.populate.bitmap_subspaces));
-  w.pod(static_cast<std::uint64_t>(state.populate.block_records));
-  w.pod(static_cast<std::uint64_t>(state.populate.bitmap_bytes));
-  w.pod(static_cast<std::uint64_t>(state.populate.bitmap_words_anded));
-  w.pod(state.join_kernel.bucketed_levels);
-  w.pod(state.join_kernel.pairwise_levels);
-  w.pod(state.join_kernel.buckets);
-  w.pod(state.join_kernel.probes);
-  w.pod(state.join_kernel.emitted);
-  w.pod(state.join_kernel.repeats_fused);
-
-  // Version 4: the append-base sections ride only on the final checkpoint;
-  // per-level recovery files stay as small as they were under version 3.
-  w.pod(state.complete);
-  if (state.complete != 0) {
-    w.vec(state.domain_lo);
-    w.vec(state.domain_hi);
-    w.vec(state.hist_counts);
-    w.pod(static_cast<std::uint64_t>(state.memo.size()));
-    for (const AppendLevelMemo& m : state.memo) {
-      w.pod(m.level);
-      write_store(w, m.cdus);
-      std::vector<std::uint64_t> packed(m.parents.size());
-      for (std::size_t i = 0; i < m.parents.size(); ++i) {
-        packed[i] = (static_cast<std::uint64_t>(m.parents[i].first) << 32) |
-                    m.parents[i].second;
-      }
-      w.vec(packed);
-      w.vec(m.raw_to_unique);
-      w.pod(m.pending_raw_count);
-      w.pod(m.pending_join.buckets);
-      w.pod(m.pending_join.probes);
-      w.pod(m.pending_join.emitted);
-      w.pod(m.pending_join.repeats_fused);
-      w.pod(m.pending_join_kernel);
-      w.vec(m.counts);
-      w.vec(m.flags);
-    }
-    w.pod(static_cast<std::uint64_t>(state.provenance.size()));
-    for (const DataSegment& seg : state.provenance) {
-      w.str(seg.path);
-      w.pod(seg.records);
-    }
+  w.pod(static_cast<std::uint64_t>(state.provenance.size()));
+  for (const DataSegment& seg : state.provenance) {
+    w.str(seg.path);
+    w.pod(seg.records);
   }
 
   std::vector<std::uint8_t> file;
@@ -184,101 +143,57 @@ CheckpointState deserialize_checkpoint(const std::uint8_t* data,
     state.fingerprint = r.pod<std::uint64_t>();
     state.num_records = r.pod<std::uint64_t>();
     state.num_dims = r.pod<std::uint32_t>();
-    state.level = r.pod<std::uint64_t>();
-    state.pending_raw_count = r.pod<std::uint64_t>();
-    state.pending_join.buckets = r.pod<std::uint64_t>();
-    state.pending_join.probes = r.pod<std::uint64_t>();
-    state.pending_join.emitted = r.pod<std::uint64_t>();
-    state.pending_join.repeats_fused = r.pod<std::uint64_t>();
-    state.pending_join_kernel = r.pod<std::uint8_t>();
-    state.cdus = read_store(r);
-    state.prev_dense = read_store(r);
-    const auto packed = r.vec<std::uint64_t>();
-    state.parents.resize(packed.size());
-    for (std::size_t i = 0; i < packed.size(); ++i) {
-      state.parents[i] = {static_cast<std::uint32_t>(packed[i] >> 32),
-                          static_cast<std::uint32_t>(packed[i])};
-    }
-    state.raw_to_unique = r.vec<std::uint32_t>();
     state.grids = read_grids(r);
-    const auto nlevels = r.pod<std::uint64_t>();
-    require_input(nlevels <= 1u << 16, "checkpoint: implausible level count");
-    state.levels.reserve(static_cast<std::size_t>(nlevels));
-    for (std::uint64_t i = 0; i < nlevels; ++i) {
-      state.levels.push_back(read_level_trace(r));
-    }
-    const auto nregistered = r.pod<std::uint64_t>();
-    require_input(nregistered <= 1u << 16,
-                  "checkpoint: implausible registered-store count");
-    state.registered.reserve(static_cast<std::size_t>(nregistered));
-    for (std::uint64_t i = 0; i < nregistered; ++i) {
-      state.registered.push_back(read_store(r));
-    }
-    state.populate.packed_sorted_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.packed_hash_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.memcmp_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.bitmap_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.block_records =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.bitmap_bytes =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.populate.bitmap_words_anded =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    state.join_kernel.bucketed_levels = r.pod<std::uint64_t>();
-    state.join_kernel.pairwise_levels = r.pod<std::uint64_t>();
-    state.join_kernel.buckets = r.pod<std::uint64_t>();
-    state.join_kernel.probes = r.pod<std::uint64_t>();
-    state.join_kernel.emitted = r.pod<std::uint64_t>();
-    state.join_kernel.repeats_fused = r.pod<std::uint64_t>();
-    state.complete = r.pod<std::uint8_t>();
-    require_input(state.complete <= 1, "checkpoint: bad complete flag");
-    if (state.complete != 0) {
-      state.domain_lo = r.vec<Value>();
-      state.domain_hi = r.vec<Value>();
-      require_input(state.domain_lo.size() == state.domain_hi.size(),
-                    "checkpoint: domain lo/hi size mismatch");
-      state.hist_counts = r.vec<Count>();
-      const auto nmemo = r.pod<std::uint64_t>();
-      require_input(nmemo <= 1u << 16, "checkpoint: implausible memo count");
-      state.memo.reserve(static_cast<std::size_t>(nmemo));
-      for (std::uint64_t i = 0; i < nmemo; ++i) {
-        AppendLevelMemo m;
-        m.level = r.pod<std::uint64_t>();
-        m.cdus = read_store(r);
-        const auto packed = r.vec<std::uint64_t>();
-        m.parents.resize(packed.size());
-        for (std::size_t j = 0; j < packed.size(); ++j) {
-          m.parents[j] = {static_cast<std::uint32_t>(packed[j] >> 32),
+    state.domain_lo = r.vec<Value>();
+    state.domain_hi = r.vec<Value>();
+    require_input(state.domain_lo.size() == state.domain_hi.size(),
+                  "checkpoint: domain lo/hi size mismatch");
+    state.hist_counts = r.vec<Count>();
+    const auto nrecords = r.pod<std::uint64_t>();
+    require_input(nrecords <= 1u << 16, "checkpoint: implausible level count");
+    state.records.reserve(static_cast<std::size_t>(nrecords));
+    for (std::uint64_t i = 0; i < nrecords; ++i) {
+      LevelRecord rec;
+      rec.level = r.pod<std::uint64_t>();
+      require_input(rec.level >= 1 &&
+                        (i == 0 || rec.level == state.records[0].level + i),
+                    "checkpoint: level records out of order");
+      rec.cdus = read_store(r);
+      const auto packed = r.vec<std::uint64_t>();
+      rec.parents.resize(packed.size());
+      for (std::size_t j = 0; j < packed.size(); ++j) {
+        rec.parents[j] = {static_cast<std::uint32_t>(packed[j] >> 32),
                           static_cast<std::uint32_t>(packed[j])};
-        }
-        m.raw_to_unique = r.vec<std::uint32_t>();
-        m.pending_raw_count = r.pod<std::uint64_t>();
-        m.pending_join.buckets = r.pod<std::uint64_t>();
-        m.pending_join.probes = r.pod<std::uint64_t>();
-        m.pending_join.emitted = r.pod<std::uint64_t>();
-        m.pending_join.repeats_fused = r.pod<std::uint64_t>();
-        m.pending_join_kernel = r.pod<std::uint8_t>();
-        m.counts = r.vec<Count>();
-        m.flags = r.vec<std::uint8_t>();
-        require_input(m.counts.size() == m.cdus.size() &&
-                          m.flags.size() == m.cdus.size(),
-                      "checkpoint: memo counts/flags size mismatch");
-        state.memo.push_back(std::move(m));
       }
-      const auto nseg = r.pod<std::uint64_t>();
-      require_input(nseg <= 1u << 16,
-                    "checkpoint: implausible provenance count");
-      state.provenance.reserve(static_cast<std::size_t>(nseg));
-      for (std::uint64_t i = 0; i < nseg; ++i) {
-        DataSegment seg;
-        seg.path = r.str();
-        seg.records = r.pod<std::uint64_t>();
-        state.provenance.push_back(std::move(seg));
+      rec.raw_to_unique = r.vec<std::uint32_t>();
+      rec.pending_raw_count = r.pod<std::uint64_t>();
+      rec.pending_join.buckets = r.pod<std::uint64_t>();
+      rec.pending_join.probes = r.pod<std::uint64_t>();
+      rec.pending_join.emitted = r.pod<std::uint64_t>();
+      rec.pending_join.repeats_fused = r.pod<std::uint64_t>();
+      rec.pending_join_kernel = r.pod<std::uint8_t>();
+      rec.counts = r.vec<Count>();
+      rec.flags = r.vec<std::uint8_t>();
+      require_input(rec.counts.size() == rec.cdus.size() &&
+                        rec.flags.size() == rec.cdus.size(),
+                    "checkpoint: level counts/flags size mismatch");
+      rec.unjoined_dus = r.pod<std::uint64_t>();
+      const auto nunjoined = r.pod<std::uint64_t>();
+      require_input(nunjoined <= kMaxUnjoinedListed,
+                    "checkpoint: implausible unjoined-unit list length");
+      for (std::uint64_t u = 0; u < nunjoined; ++u) {
+        rec.unjoined_units.push_back(r.str());
       }
+      state.records.push_back(std::move(rec));
+    }
+    const auto nseg = r.pod<std::uint64_t>();
+    require_input(nseg <= 1u << 16, "checkpoint: implausible provenance count");
+    state.provenance.reserve(static_cast<std::size_t>(nseg));
+    for (std::uint64_t i = 0; i < nseg; ++i) {
+      DataSegment seg;
+      seg.path = r.str();
+      seg.records = r.pod<std::uint64_t>();
+      state.provenance.push_back(std::move(seg));
     }
   } catch (const InputError&) {
     throw;
@@ -322,61 +237,37 @@ void write_checkpoint_bytes(const std::string& directory,
     require(out.good(), "checkpoint: write failed for " + tmp_path);
   }
   // Atomic publish: a crash before this rename leaves only the .tmp file,
-  // which the resume scan ignores; a crash after it leaves a complete,
+  // which the loaders ignore; a crash after it leaves a complete,
   // CRC-valid checkpoint.
   fs::rename(tmp_path, final_path, ec);
   require(!ec, "checkpoint: cannot rename " + tmp_path + " to " + final_path);
 }
 
-}  // namespace
-
-void write_checkpoint_file(const std::string& directory,
-                           const CheckpointState& state) {
-  write_checkpoint_bytes(directory, state,
-                         checkpoint_file_path(directory, state.level));
-}
-
-std::string final_checkpoint_path(const std::string& directory) {
-  return (std::filesystem::path(directory) / "ckpt-final.bin").string();
-}
-
-void write_final_checkpoint(const std::string& directory,
-                            const CheckpointState& state) {
-  require(state.complete != 0,
-          "checkpoint: final checkpoint must have complete set");
-  write_checkpoint_bytes(directory, state, final_checkpoint_path(directory));
-}
-
-CheckpointScan load_final_checkpoint(const std::string& directory,
-                                     std::uint64_t fingerprint) {
-  CheckpointScan scan;
-  const std::string path = final_checkpoint_path(directory);
+/// The one file reader: the state stored at `path`, or nullopt when no
+/// such file exists.  Throws InputError when the file is not a valid
+/// checkpoint.
+std::optional<CheckpointState> read_checkpoint_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return scan;  // no final checkpoint: not an error
+  if (!in.good()) return std::nullopt;
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
-  try {
-    CheckpointState state = deserialize_checkpoint(bytes.data(), bytes.size());
-    require_input(state.complete != 0,
-                  "checkpoint: final file is not marked complete");
-    require_input(fingerprint == 0 || state.fingerprint == fingerprint,
-                  "checkpoint: options/data fingerprint mismatch");
-    scan.state = std::move(state);
-  } catch (const InputError&) {
-    ++scan.discarded;
-  }
-  return scan;
+  return deserialize_checkpoint(bytes.data(), bytes.size());
 }
 
-CheckpointScan load_latest_checkpoint(const std::string& directory,
-                                      std::uint64_t fingerprint) {
-  namespace fs = std::filesystem;
-  CheckpointScan scan;
-  std::error_code ec;
-  if (!fs::is_directory(directory, ec) || ec) return scan;
+/// Requires `state` to start at level 1 with its grid phase present.
+void require_start_at_level_one(const CheckpointState& state) {
+  require_input(!state.records.empty() && state.records.front().level == 1 &&
+                    state.grids.num_dims() == state.num_dims &&
+                    state.domain_lo.size() == state.num_dims,
+                "checkpoint: state does not start with the grid phase and "
+                "level 1");
+}
 
-  // Collect levels with a checkpoint file present, highest first.
+/// Levels of the level files under `directory`, ascending.
+std::vector<std::uint64_t> level_file_levels(const std::string& directory) {
+  namespace fs = std::filesystem;
   std::vector<std::uint64_t> levels;
+  std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     const std::string name = entry.path().filename().string();
     unsigned long long level = 0;
@@ -387,28 +278,88 @@ CheckpointScan load_latest_checkpoint(const std::string& directory,
       levels.push_back(level);
     }
   }
-  std::sort(levels.rbegin(), levels.rend());
+  std::sort(levels.begin(), levels.end());
+  return levels;
+}
 
-  for (const std::uint64_t level : levels) {
-    const std::string path = checkpoint_file_path(directory, level);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      ++scan.discarded;
-      continue;
-    }
-    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                    std::istreambuf_iterator<char>());
+}  // namespace
+
+void write_checkpoint_file(const std::string& directory,
+                           const CheckpointState& state) {
+  require(state.records.size() == 1,
+          "checkpoint: a level file holds exactly one level record");
+  write_checkpoint_bytes(
+      directory, state,
+      checkpoint_file_path(directory, state.records.front().level + 1));
+}
+
+void remove_level_checkpoints(const std::string& directory) {
+  for (const std::uint64_t level : level_file_levels(directory)) {
+    std::error_code ec;
+    std::filesystem::remove(checkpoint_file_path(directory, level), ec);
+    require(!ec, "checkpoint: cannot remove a stale level file in " +
+                     directory);
+  }
+}
+
+std::string final_checkpoint_path(const std::string& directory) {
+  return (std::filesystem::path(directory) / "ckpt-final.bin").string();
+}
+
+void write_final_checkpoint(const std::string& directory,
+                            const CheckpointState& state) {
+  require(!state.records.empty() && state.records.front().level == 1,
+          "checkpoint: the final checkpoint holds every level from 1");
+  write_checkpoint_bytes(directory, state, final_checkpoint_path(directory));
+}
+
+CheckpointScan load_final_checkpoint(const std::string& directory,
+                                     std::uint64_t fingerprint) {
+  CheckpointScan scan;
+  try {
+    std::optional<CheckpointState> state =
+        read_checkpoint_file(final_checkpoint_path(directory));
+    if (!state) return scan;  // no final checkpoint: not an error
+    require_input(fingerprint == 0 || state->fingerprint == fingerprint,
+                  "checkpoint: options/data fingerprint mismatch");
+    require_start_at_level_one(*state);
+    scan.state = std::move(state);
+  } catch (const InputError&) {
+    ++scan.discarded;
+  }
+  return scan;
+}
+
+CheckpointScan load_latest_checkpoint(const std::string& directory,
+                                      std::uint64_t fingerprint) {
+  CheckpointScan scan;
+  const std::vector<std::uint64_t> levels = level_file_levels(directory);
+  // Level file k + 1 holds level k's record; the chain runs from file 2
+  // while every file is present and valid.
+  std::size_t linked = 0;
+  for (std::uint64_t level = 2;
+       std::binary_search(levels.begin(), levels.end(), level); ++level) {
     try {
-      CheckpointState state = deserialize_checkpoint(bytes.data(), bytes.size());
-      require_input(state.fingerprint == fingerprint,
+      std::optional<CheckpointState> file =
+          read_checkpoint_file(checkpoint_file_path(directory, level));
+      require_input(file.has_value(), "checkpoint: level file vanished");
+      require_input(file->fingerprint == fingerprint,
                     "checkpoint: options/data fingerprint mismatch");
-      scan.state = std::move(state);
-      return scan;
+      require_input(file->records.size() == 1 &&
+                        file->records.front().level == level - 1,
+                    "checkpoint: level file holds the wrong level");
+      if (!scan.state) {
+        require_start_at_level_one(*file);
+        scan.state = std::move(file);
+      } else {
+        scan.state->records.push_back(std::move(file->records.front()));
+      }
+      ++linked;
     } catch (const InputError&) {
-      // Corrupt, short, or mismatched: fall back to the previous level.
-      ++scan.discarded;
+      break;  // corrupt, short, or mismatched: the chain ends here
     }
   }
+  scan.discarded = levels.size() - linked;
   return scan;
 }
 

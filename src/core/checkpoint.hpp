@@ -1,48 +1,44 @@
-// Level-granularity checkpoint/restart for the bottom-up loop.
+// Level-granularity checkpoint/restart and the append base, in one format.
 //
-// Each level of Algorithm 2 ends with a small, complete summary of every
-// data pass so far: the adaptive grids, the next level's candidate units,
-// the previous level's dense units (with parent links for maximality
-// marking), everything registered as maximal, and the per-level trace.
-// Serializing exactly that after each level means a multi-hour run killed
-// at level k restarts at level k instead of level 1 — the cheapest
-// possible recovery point for a grid/density algorithm, since the state is
-// dense-unit summaries (kilobytes), not data (gigabytes).
+// Algorithm 2 carries only dense-unit summaries from one level to the next,
+// so the level boundary is the one recovery and reuse point.  A checkpoint
+// stores one LevelRecord per completed level — the level's entering join
+// state, its global counts and dense flags, and the dense units its own
+// join left unpaired — plus the grid phase once: grids, attribute domains
+// and the global fine histogram.  A run starts from at most one such state
+// (nothing, the chain of level files for --resume, or the final file for
+// `pmafia append`), rebuilds the grids from its grid phase plus the rows it
+// does not cover, and replays its records through the one level loop
+// (core/mafia.cpp) — the cheapest possible recovery point for a
+// grid/density algorithm, since the state is kilobytes of dense-unit
+// summaries, not gigabytes of data.
 //
-// File format (version 4, little-endian PODs):
+// File format (version 5, little-endian PODs):
 //   [0..7]   magic "MAFIACKP"
 //   [8..11]  uint32 format version
 //   [12..15] uint32 CRC-32 of the payload
-//   [16.. ]  payload: fingerprint, data shape, loop state (including the
-//            pending join-stats carried into the next level trace), grids,
-//            unit stores, level traces, registered maximal units,
-//            populate-kernel counters, join-kernel counters, and — when the
-//            `complete` flag is set — the append-base sections: attribute
-//            domains, the global fine histogram, one AppendLevelMemo per
-//            executed level, and the data-segment provenance
-// (Version 2 added the join-kernel work counters; version 3 added the
-// per-level populate-kernel id, bitmap-index footprint/AND-work counters,
-// and the unjoined-dense-unit count + capped printable list; version 4
-// added the `complete` flag and the append-base sections behind it.  Older
-// files are discarded by the version check and the run restarts from
-// level 1.)
+//   [16.. ]  payload: fingerprint, data shape, the grid phase (empty when
+//            the file does not carry it), the level records, and the data
+//            provenance (empty outside the final file)
+// Older versions carried the loop state and cumulative outputs instead of
+// level records; they are discarded by the version check.
 //
-// Two kinds of checkpoint file share the format:
-//   * per-level files "ckpt-level-NNNN.bin" (complete = 0): the recovery
-//     points written at each level boundary, scanned by
-//     load_latest_checkpoint for --resume;
-//   * the final file "ckpt-final.bin" (complete = 1): written once after
-//     the level loop finishes, carrying everything `pmafia append` needs
-//     to fold a new batch in without rescanning the base data — the
-//     domains and fine histogram (histogram reuse), and per-level memo
-//     entries with the global counts and dense flags (level reuse).
+// Two kinds of file share the format, written by one serializer and read
+// by one file reader:
+//   * "ckpt-level-NNNN.bin", written at the boundary entering level NNNN:
+//     level NNNN-1's record, and — in the first file, NNNN = 2 — the grid
+//     phase.  No file repeats an earlier level's record.
+//     load_latest_checkpoint joins them into the longest valid chain.
+//   * "ckpt-final.bin", written once after the level loop finishes: the
+//     grid phase, every level's record, and the data provenance
+//     `pmafia append` rebuilds the base data from.
 //
 // Torn writes cannot produce a "valid" half-checkpoint: files are written
 // to a temp name and atomically renamed, and the CRC guards everything
-// after the header.  load_latest_checkpoint walks levels highest-first and
-// silently falls back past any file that is short, corrupt, from another
-// format version, or fingerprinted for different options/data — counting
-// the discards so the run report can surface them.
+// after the header.  A level file that is missing, short, corrupt, from
+// another format version, or fingerprinted for different options/data ends
+// the chain; it and every later file count as discarded, so the run
+// report can surface them.
 //
 // The options fingerprint covers every knob that changes the computed
 // state (grid parameters, density policy, join rule, dedup policy, tau,
@@ -68,7 +64,7 @@
 
 namespace mafia {
 
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// One data file a checkpointed run consumed, in concatenation order —
 /// `pmafia append` reloads the segments to reconstruct the base data.
@@ -77,12 +73,14 @@ struct DataSegment {
   std::uint64_t records = 0;
 };
 
-/// The entering state of one level-loop iteration plus its computed global
-/// counts and dense flags — the memo an append run replays: as long as the
-/// fresh flags of every earlier level match the stored ones, level k's
-/// candidate set is unchanged, so its counts are the stored global counts
-/// plus a batch-only populate pass.
-struct AppendLevelMemo {
+/// One completed level of the bottom-up loop: its entering state (the join
+/// that produced its candidates), the global counts and dense flags it
+/// computed, and the dense units its own join left unpaired.  A run
+/// replays a record instead of recomputing the level while the fresh dense
+/// flags of every earlier level match the stored ones: the level's
+/// candidate set is then unchanged, so its counts are the stored global
+/// counts plus a pass over the rows the stored state does not cover.
+struct LevelRecord {
   std::uint64_t level = 1;
   UnitStore cdus{1};
   /// Join artifacts that produced `cdus` (empty/zero at level 1).
@@ -90,56 +88,37 @@ struct AppendLevelMemo {
   std::vector<std::uint32_t> raw_to_unique;
   std::uint64_t pending_raw_count = 0;
   JoinStats pending_join;
+  /// Kernel of that join: 0 = none (level 1), 1 = pairwise, 2 = bucketed.
   std::uint8_t pending_join_kernel = 0;
   /// Global populate counts (post-allreduce, CDU order) and the dense
   /// flags identify produced from them (post-MDL when pruning is on).
   std::vector<Count> counts;
   std::vector<std::uint8_t> flags;
+  /// This level's LevelTrace::unjoined_dus / unjoined_units, which only the
+  /// join at the end of the level computes.
+  std::uint64_t unjoined_dus = 0;
+  std::vector<std::string> unjoined_units;
 };
 
-/// Everything the bottom-up loop needs to continue from a level boundary,
-/// plus the cumulative outputs accumulated so far.  `level` is the next
-/// level to populate; `cdus` its candidate units.
+/// A run's start state: the grid phase and the level records computed
+/// over the first `num_records` rows.  One file may hold only part of it
+/// (see the file kinds above); the loaders return it whole.
 struct CheckpointState {
   std::uint64_t fingerprint = 0;   ///< checkpoint_fingerprint() of the run
   std::uint64_t num_records = 0;
   std::uint32_t num_dims = 0;
 
-  // Loop-carried state (see MafiaWorker::level_loop).
-  std::uint64_t level = 1;
-  std::uint64_t pending_raw_count = 0;
-  /// Join counters of the join that produced `cdus`, awaiting their level
-  /// trace; kernel: 0 = none yet, 1 = pairwise, 2 = bucketed.
-  JoinStats pending_join;
-  std::uint8_t pending_join_kernel = 0;
-  UnitStore cdus{1};
-  UnitStore prev_dense{1};
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
-  std::vector<std::uint32_t> raw_to_unique;
-
-  // Cumulative outputs.
+  // ---- Grid phase (empty in level files past the first).
   GridSet grids;
-  std::vector<LevelTrace> levels;
-  std::vector<UnitStore> registered;
-  PopulateKernelStats populate;
-  JoinKernelStats join_kernel;
-
-  // ---- Append-base sections (serialized only when `complete` is set).
-  /// 1 for the final post-run checkpoint ("ckpt-final.bin"), 0 for the
-  /// per-level recovery files.
-  std::uint8_t complete = 0;
-  /// Attribute domains the grids were built on.  Empty when the run could
-  /// not record them (resumed runs restore grids, not the domain pass);
-  /// append then falls back to full scans.
+  /// Attribute domains the grids were built on.
   std::vector<Value> domain_lo;
   std::vector<Value> domain_hi;
   /// Global fine histogram (dim-major, fine_bins cells per dim; see
-  /// HistogramBuilder).  Empty when unavailable (resumed or uniform-grid
-  /// runs); append then rebuilds the histogram from all records.
+  /// HistogramBuilder).  Empty for uniform-grid runs, which build none.
   std::vector<Count> hist_counts;
-  /// One memo per executed level, contiguous from level 1.  Empty when the
-  /// run resumed mid-way (earlier levels were never executed here).
-  std::vector<AppendLevelMemo> memo;
+
+  /// Level records, consecutive levels in order.
+  std::vector<LevelRecord> records;
   /// Data files this state was computed from, in concatenation order
   /// (copied from CheckpointConfig::provenance; filled by the CLI).
   std::vector<DataSegment> provenance;
@@ -152,7 +131,7 @@ struct CheckpointState {
                                                    std::uint64_t num_records,
                                                    std::uint32_t num_dims);
 
-/// Serializes `state` to the version-1 wire format (CRC filled in).
+/// Serializes `state` to the current wire format (CRC filled in).
 [[nodiscard]] std::vector<std::uint8_t> serialize_checkpoint(
     const CheckpointState& state);
 
@@ -161,42 +140,48 @@ struct CheckpointState {
 [[nodiscard]] CheckpointState deserialize_checkpoint(
     const std::uint8_t* data, std::size_t size);
 
-/// Path of the checkpoint file for `level` under `directory`.
+/// Path of the level file written at the boundary entering `level` (it
+/// holds level `level` - 1's record) under `directory`.
 [[nodiscard]] std::string checkpoint_file_path(const std::string& directory,
                                                std::uint64_t level);
 
-/// Atomically writes `state` as the checkpoint for its level under
-/// `directory` (created if missing): temp file + rename, so a crash
-/// mid-write leaves the previous level's file as the latest valid one.
+/// Atomically writes `state`, which holds exactly one record, as that
+/// record's level file under `directory` (created if missing): temp file +
+/// rename, so a crash mid-write leaves the earlier files as the chain.
 void write_checkpoint_file(const std::string& directory,
                            const CheckpointState& state);
 
-/// Result of scanning a checkpoint directory for a resume point.
+/// Removes every level file under `directory`, so a run that starts fresh
+/// never leaves an earlier run's levels for a later resume to chain onto.
+void remove_level_checkpoints(const std::string& directory);
+
+/// Result of loading a start state from a checkpoint directory.
 struct CheckpointScan {
-  std::optional<CheckpointState> state;  ///< latest valid checkpoint, if any
+  std::optional<CheckpointState> state;  ///< the valid state, if any
   std::uint64_t discarded = 0;  ///< corrupt/short/mismatched files skipped
 };
 
-/// Finds the highest-level checkpoint under `directory` that deserializes
-/// cleanly and matches `fingerprint`, falling back level-by-level past
-/// invalid files.  A missing directory is simply "no checkpoint".  Only
-/// per-level files are scanned; the final file is load_final_checkpoint's.
+/// Joins the level files under `directory` into the longest valid chain
+/// from level 1: the first file must carry the grid phase, and each file
+/// must deserialize cleanly, match `fingerprint`, and hold the next level's
+/// record.  The first file that does not ends the chain; it and every later
+/// file count as discarded.  A missing directory is simply "no checkpoint".
 [[nodiscard]] CheckpointScan load_latest_checkpoint(
     const std::string& directory, std::uint64_t fingerprint);
 
-/// Path of the final (complete) checkpoint under `directory`.
+/// Path of the final checkpoint under `directory`.
 [[nodiscard]] std::string final_checkpoint_path(const std::string& directory);
 
-/// Atomically writes `state` (which must have `complete` set) as the final
-/// checkpoint under `directory`: temp file + rename, so a crash mid-write
-/// — including a SIGKILL mid-append — leaves the previous final state as
-/// the valid one and the append simply reruns.
+/// Atomically writes `state` (grid phase and every record from level 1) as
+/// the final checkpoint under `directory`: temp file + rename, so a crash
+/// mid-write — including a SIGKILL mid-append — leaves the previous final
+/// state as the valid one and the append simply reruns.
 void write_final_checkpoint(const std::string& directory,
                             const CheckpointState& state);
 
-/// Loads the final checkpoint under `directory` if present, valid,
-/// complete, and fingerprinted `fingerprint` (0 = accept any fingerprint).
-/// Invalid or mismatched files count as discarded, exactly like
+/// Loads the final checkpoint under `directory` if present, valid, and
+/// fingerprinted `fingerprint` (0 = accept any fingerprint).  Invalid or
+/// mismatched files count as discarded, exactly like
 /// load_latest_checkpoint.
 [[nodiscard]] CheckpointScan load_final_checkpoint(
     const std::string& directory, std::uint64_t fingerprint);

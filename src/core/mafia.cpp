@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "cluster/assembly.hpp"
 #include "core/checkpoint.hpp"
@@ -59,59 +60,31 @@ class MafiaWorker {
  public:
   MafiaWorker(const DataSource& data, const MafiaOptions& opt, mp::Comm& comm)
       : data_(data), opt_(opt), comm_(comm), tracer_(&comm.stats()) {
-    // Each rank owns its pipeline decorator: every scan_local then spawns
+    // Each rank owns its pipeline decorator: every scan then spawns
     // its own producer thread over its own ring, so p ranks prefetch their
     // p partitions independently (the paper's p local disks).
     if (opt_.io.prefetch) pipelined_.emplace(data_, opt_.io.buffers);
   }
 
   void run() {
-    const int p = comm_.size();
-    const int rank = comm_.rank();
-    const RecordIndex n = data_.num_records();
-    my_records_ = block_partition(static_cast<std::size_t>(n),
-                                  static_cast<std::size_t>(p),
-                                  static_cast<std::size_t>(rank));
+    const auto p = static_cast<std::size_t>(comm_.size());
+    const auto rank = static_cast<std::size_t>(comm_.rank());
+    const auto n = static_cast<std::size_t>(data_.num_records());
+    my_records_ = block_partition(n, p, rank);
 
-    if (opt_.append) {
-      // Append mode: load the base run's final checkpoint, rebuild grids
-      // incrementally where the stored state allows, and run the level
-      // loop with the stored memo as an accelerator.  The loop body is the
-      // same as a fresh run's, so the result is bit-identical to a full
-      // rebuild on the concatenated data whether or not anything reuses.
-      const std::size_t batch =
-          static_cast<std::size_t>(n) -
-          static_cast<std::size_t>(opt_.append->base_records);
-      const BlockRange br = block_partition(batch, static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(rank));
-      my_batch_.begin =
-          static_cast<std::size_t>(opt_.append->base_records) + br.begin;
-      my_batch_.end =
-          static_cast<std::size_t>(opt_.append->base_records) + br.end;
-      append_setup();
-      build_grids_append();
-      collect_memo_ = true;
-      level_loop(nullptr);
-      write_final_state();
-    } else {
-      // Resume is decided collectively (the checkpoint blob is broadcast),
-      // so either every rank restores the same level boundary or none does.
-      std::optional<CheckpointState> restored = maybe_resume();
-      if (restored) {
-        grids_ = std::move(restored->grids);
-        trace_ = std::move(restored->levels);
-        registered_ = std::move(restored->registered);
-        populate_stats_ = restored->populate;
-        join_stats_ = restored->join_kernel;
-      } else {
-        build_grids();
-      }
-      // A resumed run never saw the early levels, so its final checkpoint
-      // carries no append memo (append then falls back to full scans).
-      collect_memo_ = opt_.checkpoint.enabled() && !restored;
-      level_loop(restored ? &*restored : nullptr);
-      write_final_state();
-    }
+    // Fresh, resumed and appended runs differ only in their start state
+    // and in the rows it does not cover: all of them when fresh, none on
+    // resume, the batch on append.  Every rank loads the same state, builds
+    // the grids from it plus those rows, and replays its level records in
+    // the one level loop — so the result is bit-identical to a fresh run
+    // on the same data whether or not anything is reused.
+    start_ = load_start_state();
+    covered_ = start_ ? static_cast<std::size_t>(start_->num_records) : 0;
+    const BlockRange fresh = block_partition(n - covered_, p, rank);
+    my_new_ = {covered_ + fresh.begin, covered_ + fresh.end};
+    build_grids();
+    level_loop();
+    write_final_state();
     {
       PhaseTracer::Scope sp(tracer_, "assemble");
       clusters_ = assemble_clusters(registered_);
@@ -138,28 +111,91 @@ class MafiaWorker {
   AppendStats append_stats_;
 
  private:
+  // ------------------------------------------------------- start state
+
+  /// Collective start-state load.  Rank 0 reads the start file — the
+  /// level chain for --resume, the base run's final checkpoint
+  /// (fingerprinted for the base record count) for append — and
+  /// broadcasts it, so every rank starts from the same records.  No state
+  /// means a fresh start, which is an input error for append: it cannot
+  /// proceed without the thing it appends to.
+  std::optional<CheckpointState> load_start_state() {
+    if (!opt_.checkpoint.enabled()) return std::nullopt;
+    PhaseTracer::Scope sp(tracer_, "checkpoint");
+    recovery_.checkpoint_enabled = true;
+    append_stats_.performed = opt_.append.has_value();
+    const auto dims = static_cast<std::uint32_t>(data_.num_dims());
+    fingerprint_ = checkpoint_fingerprint(
+        opt_, static_cast<std::uint64_t>(data_.num_records()), dims);
+
+    std::vector<std::uint8_t> blob;
+    if (opt_.append || opt_.checkpoint.resume) {
+      if (comm_.is_parent()) {
+        const CheckpointScan scan =
+            opt_.append
+                ? load_final_checkpoint(
+                      opt_.checkpoint.directory,
+                      checkpoint_fingerprint(opt_, opt_.append->base_records,
+                                             dims))
+                : load_latest_checkpoint(opt_.checkpoint.directory,
+                                         fingerprint_);
+        recovery_.checkpoints_discarded =
+            static_cast<std::size_t>(scan.discarded);
+        if (scan.state) blob = serialize_checkpoint(*scan.state);
+      }
+      comm_.bcast(blob);
+    }
+    require_input(!opt_.append || !blob.empty(),
+                  "append: no valid final checkpoint for the base data under " +
+                      opt_.checkpoint.directory +
+                      " (run a checkpointed cluster first, with matching "
+                      "options)");
+    if (blob.empty()) {
+      // A run without a start state writes its level chain from scratch;
+      // an earlier run's level files must not extend it for a later resume.
+      if (comm_.is_parent()) {
+        remove_level_checkpoints(opt_.checkpoint.directory);
+      }
+      return std::nullopt;
+    }
+    CheckpointState state = deserialize_checkpoint(blob.data(), blob.size());
+    recovery_.resumed = opt_.checkpoint.resume;
+    if (recovery_.resumed) recovery_.resume_level = state.records.size() + 1;
+    return state;
+  }
+
   // ----------------------------------------------------------- grid phase
 
+  /// Domains and the fine histogram are exact under concatenation (min/max
+  /// and integer sums are associative), so the start state's stored ones
+  /// plus a pass over the new rows equal a pass over every row — and so
+  /// do the grids built from them.
   void build_grids() {
     const std::size_t d = data_.num_dims();
     const auto n = static_cast<Count>(data_.num_records());
 
     // Attribute domains: fixed, or learned with a min/max pass + Reduce.
-    std::vector<Value> lo(d);
-    std::vector<Value> hi(d);
     if (opt_.fixed_domain) {
-      std::fill(lo.begin(), lo.end(), opt_.fixed_domain->first);
-      std::fill(hi.begin(), hi.end(), opt_.fixed_domain->second);
+      domain_lo_.assign(d, opt_.fixed_domain->first);
+      domain_hi_.assign(d, opt_.fixed_domain->second);
     } else {
       PhaseTracer::Scope sp(tracer_, "histogram");
       MinMaxAccumulator mm(d);
-      scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
+      scan(my_new_, "histogram", [&](const Value* rows, std::size_t nrows) {
         mm.accumulate(rows, nrows);
       });
       comm_.allreduce_min(mm.mins());
       comm_.allreduce_max(mm.maxs());
-      lo = mm.mins();
-      hi = mm.maxs();
+      domain_lo_ = std::move(mm.mins());
+      domain_hi_ = std::move(mm.maxs());
+      if (start_) {
+        // Fold the stored extrema in: min/max are exact, so this equals a
+        // scan of every row.
+        for (std::size_t j = 0; j < d; ++j) {
+          domain_lo_[j] = std::min(domain_lo_[j], start_->domain_lo[j]);
+          domain_hi_[j] = std::max(domain_hi_[j], start_->domain_hi[j]);
+        }
+      }
     }
 
     if (opt_.uniform_grid) {
@@ -169,13 +205,11 @@ class MafiaWorker {
       if (!ug.bins_per_dim.empty()) {
         require(ug.bins_per_dim.size() == d,
                 "MafiaOptions: bins_per_dim size mismatch");
-        grids_ = compute_uniform_grids(lo, hi, ug.bins_per_dim, ug.tau_fraction, n);
+        grids_ = compute_uniform_grids(domain_lo_, domain_hi_, ug.bins_per_dim,
+                                       ug.tau_fraction, n);
       } else {
-        grids_ = compute_uniform_grids(lo, hi, ug.xi, ug.tau_fraction, n);
-      }
-      if (opt_.checkpoint.enabled()) {
-        domain_lo_ = lo;
-        domain_hi_ = hi;
+        grids_ = compute_uniform_grids(domain_lo_, domain_hi_, ug.xi,
+                                       ug.tau_fraction, n);
       }
       return;
     }
@@ -183,205 +217,81 @@ class MafiaWorker {
     // Algorithm 2: "build a histogram in each dimension; Reduce
     // communication to get the global histogram; determine adaptive
     // intervals ... and also fix the threshold level."
-    HistogramBuilder hist(lo, hi, opt_.grid.fine_bins);
-    {
-      PhaseTracer::Scope sp(tracer_, "histogram");
-      scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-        hist.accumulate(rows, nrows);
-      });
-      comm_.allreduce_sum(hist.counts());
-    }
-    if (opt_.checkpoint.enabled()) {
-      domain_lo_ = lo;
-      domain_hi_ = hi;
-      hist_counts_ = hist.counts();  // global after the allreduce
-    }
-    {
-      PhaseTracer::Scope sp(tracer_, "grid");
-      grids_ = compute_adaptive_grids(lo, hi, hist, n, opt_.grid);
-    }
-  }
-
-  // ----------------------------------------------------------- append mode
-
-  /// Collective load of the base run's final checkpoint, fingerprinted for
-  /// the base record count (every result-affecting option must match the
-  /// base run; the record counts differ by exactly the batch).  Rank 0
-  /// reads, everyone receives the broadcast blob; an empty blob means no
-  /// usable base state, which is an input error on every rank — append
-  /// cannot proceed without the thing it appends to.
-  void append_setup() {
-    PhaseTracer::Scope sp(tracer_, "checkpoint");
-    recovery_.checkpoint_enabled = true;
-    append_stats_.performed = true;
-    const auto n_total = static_cast<std::uint64_t>(data_.num_records());
-    const auto dims = static_cast<std::uint32_t>(data_.num_dims());
-    const std::uint64_t base_fp =
-        checkpoint_fingerprint(opt_, opt_.append->base_records, dims);
-    // The final checkpoint this run writes covers the concatenated data.
-    fingerprint_ = checkpoint_fingerprint(opt_, n_total, dims);
-
-    std::vector<std::uint8_t> blob;
-    if (comm_.is_parent()) {
-      const CheckpointScan scan =
-          load_final_checkpoint(opt_.checkpoint.directory, base_fp);
-      recovery_.checkpoints_discarded =
-          static_cast<std::size_t>(scan.discarded);
-      if (scan.state) blob = serialize_checkpoint(*scan.state);
-    }
-    comm_.bcast(blob);
-    require_input(!blob.empty(),
-                  "append: no valid final checkpoint for the base data under " +
-                      opt_.checkpoint.directory +
-                      " (run a checkpointed cluster first, with matching "
-                      "options)");
-    append_base_ = deserialize_checkpoint(blob.data(), blob.size());
-  }
-
-  /// Grid phase of an append run.  Domains and the fine histogram are
-  /// exact under concatenation (min/max and integer sums are associative),
-  /// so when the stored state carries them only the batch is scanned;
-  /// otherwise the full concatenated data is — either way the inputs to
-  /// compute_adaptive_grids are bit-identical to a fresh run's, and so are
-  /// the grids.  The level-reuse chain is then armed only if the fresh
-  /// grids bin records exactly like the stored ones.
-  void build_grids_append() {
-    const std::size_t d = data_.num_dims();
-    const auto n = static_cast<Count>(data_.num_records());
-    const CheckpointState& base = *append_base_;
-    const bool have_base_domain =
-        base.domain_lo.size() == d && base.domain_hi.size() == d;
-
-    std::vector<Value> lo(d);
-    std::vector<Value> hi(d);
-    if (opt_.fixed_domain) {
-      std::fill(lo.begin(), lo.end(), opt_.fixed_domain->first);
-      std::fill(hi.begin(), hi.end(), opt_.fixed_domain->second);
-    } else {
-      PhaseTracer::Scope sp(tracer_, "histogram");
-      MinMaxAccumulator mm(d);
-      if (have_base_domain) {
-        scan_batch("histogram", [&](const Value* rows, std::size_t nrows) {
-          mm.accumulate(rows, nrows);
-        });
-      } else {
-        scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-          mm.accumulate(rows, nrows);
-        });
-      }
-      comm_.allreduce_min(mm.mins());
-      comm_.allreduce_max(mm.maxs());
-      lo = mm.mins();
-      hi = mm.maxs();
-      if (have_base_domain) {
-        // Fold the stored base extrema in: min/max are exact, so this
-        // equals a full scan of the concatenated data.
-        for (std::size_t j = 0; j < d; ++j) {
-          lo[j] = std::min(lo[j], base.domain_lo[j]);
-          hi[j] = std::max(hi[j], base.domain_hi[j]);
-        }
-      }
-    }
-
-    if (opt_.uniform_grid) {
-      PhaseTracer::Scope sp(tracer_, "grid");
-      const auto& ug = *opt_.uniform_grid;
-      if (!ug.bins_per_dim.empty()) {
-        require(ug.bins_per_dim.size() == d,
-                "MafiaOptions: bins_per_dim size mismatch");
-        grids_ = compute_uniform_grids(lo, hi, ug.bins_per_dim,
-                                       ug.tau_fraction, n);
-      } else {
-        grids_ = compute_uniform_grids(lo, hi, ug.xi, ug.tau_fraction, n);
-      }
-      domain_lo_ = lo;
-      domain_hi_ = hi;
-      arm_append_chain();
-      return;
-    }
-
-    HistogramBuilder hist(lo, hi, opt_.grid.fine_bins);
+    HistogramBuilder hist(domain_lo_, domain_hi_, opt_.grid.fine_bins);
     // Stored fine counts are reusable only if the histogram geometry is
     // unchanged: same domains (cell widths) and same cell count.
-    const bool hist_incremental =
-        have_base_domain && lo == base.domain_lo && hi == base.domain_hi &&
-        base.hist_counts.size() == d * opt_.grid.fine_bins;
+    const bool seeded = start_ && domain_lo_ == start_->domain_lo &&
+                        domain_hi_ == start_->domain_hi &&
+                        start_->hist_counts.size() == hist.counts().size();
     {
       PhaseTracer::Scope sp(tracer_, "histogram");
-      if (hist_incremental) {
-        scan_batch("histogram", [&](const Value* rows, std::size_t nrows) {
-          hist.accumulate(rows, nrows);
-        });
-      } else {
-        scan_local("histogram", [&](const Value* rows, std::size_t nrows) {
-          hist.accumulate(rows, nrows);
-        });
-      }
+      scan(seeded ? my_new_ : my_records_, "histogram",
+           [&](const Value* rows, std::size_t nrows) {
+             hist.accumulate(rows, nrows);
+           });
       comm_.allreduce_sum(hist.counts());
-      // Seed after the allreduce: the base counts are already global, so
+      // Seed after the allreduce: the stored counts are already global, so
       // they must enter the sum exactly once, not once per rank.
-      if (hist_incremental) hist.seed_counts(base.hist_counts);
+      if (seeded) hist.seed_counts(start_->hist_counts);
     }
-    domain_lo_ = lo;
-    domain_hi_ = hi;
     hist_counts_ = hist.counts();
     {
       PhaseTracer::Scope sp(tracer_, "grid");
-      grids_ = compute_adaptive_grids(lo, hi, hist, n, opt_.grid);
+      grids_ = compute_adaptive_grids(domain_lo_, domain_hi_, hist, n,
+                                      opt_.grid);
     }
-    arm_append_chain();
   }
 
-  /// Arms the level-reuse chain: stored per-level counts are valid only
-  /// when the fresh grids bin records exactly like the stored ones, and
-  /// the memo must cover the run from level 1 (resumed base runs don't).
-  void arm_append_chain() {
-    append_chain_ = !append_base_->memo.empty() &&
-                    append_base_->memo.front().level == 1 &&
-                    grids_binning_equal(grids_, append_base_->grids);
-  }
+  // ----------------------------------------------------------- checkpoints
 
-  /// The stored memo entry for `level`, or nullptr.  Entries are pushed
-  /// once per executed level, so entry i covers level i + 1; the byte-level
-  /// store comparison is a defensive invariant check (the chain logic
-  /// guarantees it, corruption or a logic regression breaks the chain
-  /// instead of corrupting counts).
-  const AppendLevelMemo* base_memo(std::size_t level, const UnitStore& cdus) {
-    if (!append_chain_) return nullptr;
-    const auto& memo = append_base_->memo;
-    if (level > memo.size() || memo[level - 1].level != level) return nullptr;
-    const AppendLevelMemo* m = &memo[level - 1];
-    if (m->counts.size() != cdus.size() || !stores_equal(m->cdus, cdus)) {
-      append_chain_ = false;
-      return nullptr;
+  /// A checkpoint of this run's shape, carrying the grid phase if asked.
+  [[nodiscard]] CheckpointState checkpoint_state(bool with_grid_phase) const {
+    CheckpointState st;
+    st.fingerprint = fingerprint_;
+    st.num_records = static_cast<std::uint64_t>(data_.num_records());
+    st.num_dims = static_cast<std::uint32_t>(data_.num_dims());
+    if (with_grid_phase) {
+      st.grids = grids_;
+      st.domain_lo = domain_lo_;
+      st.domain_hi = domain_hi_;
+      st.hist_counts = hist_counts_;
     }
-    return m;
+    return st;
   }
 
-  /// Writes the final (complete) checkpoint after the level loop: the
-  /// run's full outputs plus the append-base sections (domains, global
-  /// fine histogram, per-level memo, provenance).  Atomic rename, so a
+  /// Files a completed level's record for the final checkpoint, first
+  /// writing it as its level file when this run computed the level rather
+  /// than replaying it (rank 0 writes; every rank opens the phase scope,
+  /// since the trace exchange requires identical phase sets on all ranks).
+  /// Append runs write no level files: they publish one final checkpoint
+  /// atomically at the end, so a crash mid-append leaves the base state
+  /// untouched.
+  void keep_record(LevelRecord&& rec, bool computed) {
+    if (!opt_.checkpoint.enabled()) return;
+    PhaseTracer::Scope sp(tracer_, "checkpoint");
+    if (!comm_.is_parent()) return;
+    rec.unjoined_dus = trace_.back().unjoined_dus;
+    rec.unjoined_units = trace_.back().unjoined_units;
+    if (computed && !opt_.append) {
+      CheckpointState st = checkpoint_state(/*with_grid_phase=*/rec.level == 1);
+      st.records.push_back(std::move(rec));
+      write_checkpoint_file(opt_.checkpoint.directory, st);
+      ++recovery_.checkpoints_written;
+      rec = std::move(st.records.front());
+    }
+    records_.push_back(std::move(rec));
+  }
+
+  /// Writes the final checkpoint after the level loop: the grid phase,
+  /// every level's record, and the data provenance.  Atomic rename, so a
   /// kill at any point — including mid-append — leaves the previous final
   /// state intact and the operation simply reruns.
   void write_final_state() {
     if (!opt_.checkpoint.enabled()) return;
     PhaseTracer::Scope sp(tracer_, "checkpoint");
     if (!comm_.is_parent()) return;
-    CheckpointState st;
-    st.fingerprint = fingerprint_;
-    st.num_records = static_cast<std::uint64_t>(data_.num_records());
-    st.num_dims = static_cast<std::uint32_t>(data_.num_dims());
-    st.level = trace_.empty() ? 1 : trace_.back().level;
-    st.grids = grids_;
-    st.levels = trace_;
-    st.registered = registered_;
-    st.populate = populate_stats_;
-    st.join_kernel = join_stats_;
-    st.complete = 1;
-    st.domain_lo = domain_lo_;
-    st.domain_hi = domain_hi_;
-    st.hist_counts = hist_counts_;
-    st.memo = memo_;
+    CheckpointState st = checkpoint_state(/*with_grid_phase=*/true);
+    st.records = std::move(records_);
     st.provenance.reserve(opt_.checkpoint.provenance.size());
     for (const auto& [path, records] : opt_.checkpoint.provenance) {
       st.provenance.push_back({path, records});
@@ -392,72 +302,47 @@ class MafiaWorker {
 
   // ----------------------------------------------------------- level loop
 
-  void level_loop(CheckpointState* restored) {
+  void level_loop() {
     const int p = comm_.size();
     const int rank = comm_.rank();
     const auto n = static_cast<Count>(data_.num_records());
     const DensityContext dctx{opt_.grid.alpha, n};
+    std::span<const LevelRecord> stored;
+    if (start_) stored = start_->records;
 
-    UnitStore cdus(1);
+    // The entering state of the level about to run, completed into its
+    // level record as the level runs.  "Set candidate dense units to the
+    // bins found in each dimension."
+    LevelRecord rec;
+    for (std::size_t j = 0; j < grids_.num_dims(); ++j) {
+      for (std::size_t b = 0; b < grids_[j].num_bins(); ++b) {
+        const auto dj = static_cast<DimId>(j);
+        const auto bb = static_cast<BinId>(b);
+        rec.cdus.push_unchecked(&dj, &bb);
+      }
+    }
+    rec.pending_raw_count = rec.cdus.size();
+    // The stored records replay only while the fresh grids bin records
+    // exactly like the stored ones — level 1's candidates are then the
+    // stored ones — and, level by level, while the fresh dense flags match
+    // the stored flags (the join is a pure function of the dense set).
+    chain_ = !stored.empty() && grids_binning_equal(grids_, start_->grids) &&
+             stores_equal(stored.front().cdus, rec.cdus);
     UnitStore prev_dense(1);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
-    std::vector<std::uint32_t> raw_to_unique;
-    std::size_t pending_raw_count = 0;
-    // Stats of the join that produced the current `cdus` (pushed into the
-    // LevelTrace once the level's counts are known, then folded into the
-    // run totals).  Kernel: 0 = no join yet (level 1), 1 = pairwise,
-    // 2 = bucketed.
-    JoinStats pending_join;
-    std::uint8_t pending_join_kernel = 0;
-    std::size_t level = 1;
     // Packed and Memcmp rescan the records every level; Auto and Bitmap
     // count every level from the run index.
     const bool rescan_kernel = opt_.populate.kernel == PopulateKernel::Packed ||
                                opt_.populate.kernel == PopulateKernel::Memcmp;
 
-    if (restored != nullptr) {
-      // Continue from the restored level boundary — the state here is
-      // exactly what the uninterrupted run carried into this iteration.
-      level = static_cast<std::size_t>(restored->level);
-      pending_raw_count = static_cast<std::size_t>(restored->pending_raw_count);
-      pending_join = restored->pending_join;
-      pending_join_kernel = restored->pending_join_kernel;
-      cdus = std::move(restored->cdus);
-      prev_dense = std::move(restored->prev_dense);
-      parents = std::move(restored->parents);
-      raw_to_unique = std::move(restored->raw_to_unique);
-    } else {
-      // "Set candidate dense units to the bins found in each dimension."
-      for (std::size_t j = 0; j < grids_.num_dims(); ++j) {
-        for (std::size_t b = 0; b < grids_[j].num_bins(); ++b) {
-          const auto dj = static_cast<DimId>(j);
-          const auto bb = static_cast<BinId>(b);
-          cdus.push_unchecked(&dj, &bb);
-        }
-      }
-      pending_raw_count = cdus.size();
-    }
-
     while (true) {
+      const std::size_t level = rec.level;
+      UnitStore& cdus = rec.cdus;
       check_cdu_budget(level, cdus.size(), cdus.k(), /*with_counts=*/true);
-      // Fresh memo entry: the entering state of this iteration (counts and
-      // flags are filled in once computed below).  This is what the final
-      // checkpoint hands to a future append run.
-      if (collect_memo_) {
-        AppendLevelMemo fm;
-        fm.level = level;
-        fm.cdus = cdus;
-        fm.parents = parents;
-        fm.raw_to_unique = raw_to_unique;
-        fm.pending_raw_count = pending_raw_count;
-        fm.pending_join = pending_join;
-        fm.pending_join_kernel = pending_join_kernel;
-        memo_.push_back(std::move(fm));
-      }
-      // Append reuse: with the chain intact this level's candidate set is
-      // provably the stored one, so its counts are the stored global
-      // counts plus a batch-only populate pass.
-      const AppendLevelMemo* base = base_memo(level, cdus);
+      // A stored level: its candidate set is provably the stored one, so
+      // its counts are the stored global counts plus a pass over the new
+      // rows.
+      const LevelRecord* base =
+          chain_ && level <= stored.size() ? &stored[level - 1] : nullptr;
       // ---- Populate candidates (data parallel): each rank counts its N/p
       // records — from the run index, or by rescanning them in B-record
       // chunks — then Reduce globalizes the counts.
@@ -476,14 +361,10 @@ class MafiaWorker {
       {
         PhaseTracer::Scope sp(tracer_, "populate");
         if (rescan_kernel) {
-          const ChunkFn accumulate = [&](const Value* rows, std::size_t nrows) {
-            populator.accumulate(rows, nrows);
-          };
-          if (base != nullptr) {
-            scan_batch("populate", accumulate);
-          } else {
-            scan_local("populate", accumulate);
-          }
+          scan(base != nullptr ? my_new_ : my_records_, "populate",
+               [&](const Value* rows, std::size_t nrows) {
+                 populator.accumulate(rows, nrows);
+               });
         }
         comm_.allreduce_sum(populator.counts());
         // Seed AFTER the allreduce: the stored counts are already global,
@@ -499,7 +380,8 @@ class MafiaWorker {
       populate_stats_.merge(populator.kernel_stats());
 
       // ---- Identify dense units (task parallel, Algorithm 5).
-      std::vector<std::uint8_t> flags(cdus.size(), 0);
+      std::vector<std::uint8_t>& flags = rec.flags;
+      flags.assign(cdus.size(), 0);
       {
         PhaseTracer::Scope sp(tracer_, "identify");
         if (cdus.size() > opt_.tau && p > 1) {
@@ -516,21 +398,16 @@ class MafiaWorker {
       }
       if (opt_.mdl_pruning) apply_mdl_pruning(cdus, populator.counts(), flags);
 
-      // Append: compare the fresh dense flags against the stored ones.  Any
+      // Compare the fresh dense flags against the stored ones.  Any
       // divergence means the next level's candidate set differs from the
-      // stored run's, so the reuse chain ends here — every later level runs
-      // the real join and full scans.  Identical flags keep the chain
-      // intact (the join is a pure function of the dense set).
+      // stored run's, so the chain ends here — every later level runs the
+      // real join and full scans.
       if (base != nullptr) {
         for (std::size_t i = 0; i < flags.size(); ++i) {
           append_stats_.units_promoted += (flags[i] != 0 && base->flags[i] == 0);
           append_stats_.units_demoted += (flags[i] == 0 && base->flags[i] != 0);
         }
-        if (flags != base->flags) append_chain_ = false;
-      }
-      if (collect_memo_) {
-        memo_.back().counts = populator.counts();
-        memo_.back().flags = flags;
+        if (flags != base->flags) chain_ = false;
       }
 
       std::size_t ndu = 0;
@@ -539,14 +416,14 @@ class MafiaWorker {
       {
         LevelTrace t;
         t.level = level;
-        t.ncdu_raw = pending_raw_count;
+        t.ncdu_raw = rec.pending_raw_count;
         t.ncdu = cdus.size();
         t.ndu = ndu;
         t.count_checksum = count_vector_checksum(populator.counts());
-        t.join_buckets = pending_join.buckets;
-        t.join_probes = pending_join.probes;
-        t.join_emitted = pending_join.emitted;
-        t.join_repeats_fused = pending_join.repeats_fused;
+        t.join_buckets = rec.pending_join.buckets;
+        t.join_probes = rec.pending_join.probes;
+        t.join_emitted = rec.pending_join.emitted;
+        t.join_repeats_fused = rec.pending_join.repeats_fused;
         switch (populator.effective_kernel()) {
           case PopulateKernel::Bitmap: t.populate_kernel = kPopulateKernelBitmap; break;
           case PopulateKernel::Memcmp: t.populate_kernel = kPopulateKernelMemcmp; break;
@@ -556,26 +433,25 @@ class MafiaWorker {
         t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
         trace_.push_back(std::move(t));
       }
-      if (pending_join_kernel != 0) {
-        join_stats_.bucketed_levels += (pending_join_kernel == 2);
-        join_stats_.pairwise_levels += (pending_join_kernel == 1);
-        join_stats_.buckets += pending_join.buckets;
-        join_stats_.probes += pending_join.probes;
-        join_stats_.emitted += pending_join.emitted;
-        join_stats_.repeats_fused += pending_join.repeats_fused;
-        pending_join = JoinStats{};
-        pending_join_kernel = 0;
+      if (rec.pending_join_kernel != 0) {
+        join_stats_.bucketed_levels += (rec.pending_join_kernel == 2);
+        join_stats_.pairwise_levels += (rec.pending_join_kernel == 1);
+        join_stats_.buckets += rec.pending_join.buckets;
+        join_stats_.probes += rec.pending_join.probes;
+        join_stats_.emitted += rec.pending_join.emitted;
+        join_stats_.repeats_fused += rec.pending_join.repeats_fused;
       }
+      rec.counts = std::move(populator.counts());
 
       // ---- Register maximal units of the previous level: a (k−1)-dim
       // dense unit whose every candidate child failed the density test (or
       // that produced no candidates) is a maximal dense region.
       if (level > 1) {
         std::vector<std::uint8_t> marked(prev_dense.size(), 0);
-        for (std::size_t r = 0; r < parents.size(); ++r) {
-          if (flags[raw_to_unique[r]]) {
-            marked[parents[r].first] = 1;
-            marked[parents[r].second] = 1;
+        for (std::size_t r = 0; r < rec.parents.size(); ++r) {
+          if (flags[rec.raw_to_unique[r]]) {
+            marked[rec.parents[r].first] = 1;
+            marked[rec.parents[r].second] = 1;
           }
         }
         register_unmarked(prev_dense, marked);
@@ -614,34 +490,22 @@ class MafiaWorker {
 
       // ---- Find candidate dense units for the next level (Algorithm 3).
       prev_dense = std::move(dense);
-      ++level;
-      // Append: with the chain still intact the stored run generated this
-      // level from the identical dense set, so the join's entering state
-      // (unique CDUs, parents, dedup map, work counters) is replayed from
-      // the memo instead of recomputed — the join is a pure function of the
-      // dense set and the join rule, both unchanged.  The skipped
-      // record_unjoined is restored from the stored trace for the same
-      // reason.  When the memo has no entry for this level the stored run
-      // terminated here, and the real join below reproduces that
-      // termination identically.
-      if (append_chain_ && level <= append_base_->memo.size() &&
-          append_base_->memo[level - 1].level == level) {
-        const AppendLevelMemo& m = append_base_->memo[level - 1];
-        cdus = m.cdus;
-        parents = m.parents;
-        raw_to_unique = m.raw_to_unique;
-        pending_raw_count = m.pending_raw_count;
-        pending_join = m.pending_join;
-        pending_join_kernel = m.pending_join_kernel;
-        for (const LevelTrace& t : append_base_->levels) {
-          if (t.level == level - 1) {
-            trace_.back().unjoined_dus = t.unjoined_dus;
-            trace_.back().unjoined_units = t.unjoined_units;
-            break;
-          }
-        }
+      if (chain_ && level < stored.size()) {
+        // With the chain intact the stored run generated the next level
+        // from the identical dense set, so the join's output (unique CDUs,
+        // parents, dedup map, work counters) and this level's unjoined
+        // units are replayed from the stored records; the next level
+        // recomputes the rest of its record.  Where the records end, the
+        // real join below continues — or reproduces the stored run's
+        // termination identically.
+        trace_.back().unjoined_dus = stored[level - 1].unjoined_dus;
+        trace_.back().unjoined_units = stored[level - 1].unjoined_units;
+        keep_record(std::move(rec), /*computed=*/false);
+        rec = stored[level];
         continue;
       }
+      LevelRecord next;
+      next.level = level + 1;
       // Kernel selection: the bucketed index needs a non-empty
       // sub-signature, so (k−1)-dim parents with k−1 == 1 (one global
       // bucket — all pair work on one rank) fall back to the pairwise
@@ -652,11 +516,11 @@ class MafiaWorker {
         // The bucket index is the join's auxiliary memory; budget it before
         // any rank starts building (the estimate is deterministic, so the
         // guard stays collective).
-        check_budget(level, "join bucket index",
+        check_budget(next.level, "join bucket index",
                      JoinBucketIndex::estimate_bytes(
                          prev_dense.size(), prev_dense.k(), opt_.join_rule));
       }
-      UnitStore raw(level);
+      UnitStore raw(next.level);
       std::vector<std::uint8_t> combined;
       {
         PhaseTracer::Scope sp(tracer_, "join");
@@ -695,19 +559,20 @@ class MafiaWorker {
           comm_.bcast(dim_bytes);
           comm_.bcast(bin_bytes);
           comm_.bcast(parent_bytes);
-          raw = UnitStore::from_bytes(level, std::move(dim_bytes),
+          raw = UnitStore::from_bytes(next.level, std::move(dim_bytes),
                                       std::move(bin_bytes));
-          parents.resize(parent_bytes.size());
+          next.parents.resize(parent_bytes.size());
           for (std::size_t i = 0; i < parent_bytes.size(); ++i) {
-            parents[i] = {static_cast<std::uint32_t>(parent_bytes[i] >> 32),
-                          static_cast<std::uint32_t>(parent_bytes[i])};
+            next.parents[i] = {
+                static_cast<std::uint32_t>(parent_bytes[i] >> 32),
+                static_cast<std::uint32_t>(parent_bytes[i])};
           }
           // Globalize the work counters (bucket ranges partition the index,
           // so the bucket sum is the index's bucket count).
           std::vector<std::uint64_t> sv{jr.stats.buckets, jr.stats.probes,
                                         jr.stats.emitted};
           comm_.allreduce_sum(sv);
-          pending_join = JoinStats{sv[0], sv[1], sv[2], 0};
+          next.pending_join = JoinStats{sv[0], sv[1], sv[2], 0};
           // Globalize the combined flags: a dense unit is unjoined only if
           // no rank's join range paired it.
           combined = std::move(jr.combined);
@@ -716,17 +581,17 @@ class MafiaWorker {
           // packed-parent order makes the concatenated sequence exactly the
           // pairwise scan's, so everything downstream (dedup order, parent
           // marking, checksums) is bit-identical across kernels.
-          if (bucketed) sort_cdus_by_parents(raw, parents);
+          if (bucketed) sort_cdus_by_parents(raw, next.parents);
         } else {
           JoinResult jr = bucketed
                               ? bucket_join_dense_units(prev_dense, opt_.join_rule)
                               : join_dense_units(prev_dense, opt_.join_rule);
           raw = std::move(jr.cdus);
-          parents = std::move(jr.parents);
-          pending_join = jr.stats;
+          next.parents = std::move(jr.parents);
+          next.pending_join = jr.stats;
           combined = std::move(jr.combined);
         }
-        pending_join_kernel = bucketed ? 2 : 1;
+        next.pending_join_kernel = bucketed ? 2 : 1;
       }
 
       // gpumafia's find_unjoined_dus: record, on the level the dense units
@@ -740,8 +605,8 @@ class MafiaWorker {
         register_all(prev_dense);
         break;
       }
-      pending_raw_count = raw.size();
-      check_cdu_budget(level, raw.size(), raw.k(), /*with_counts=*/false);
+      next.pending_raw_count = raw.size();
+      check_cdu_budget(next.level, raw.size(), raw.k(), /*with_counts=*/false);
 
       // ---- Eliminate repeated CDUs (Algorithm 4).
       {
@@ -753,7 +618,7 @@ class MafiaWorker {
           // O(Ncdu²) repeat scan regardless of DedupPolicy (which stays
           // meaningful for the pairwise kernel's fidelity/ablation runs).
           dd = dedup_hash(raw);
-          if (bucketed) pending_join.repeats_fused = dd.num_repeats;
+          if (bucketed) next.pending_join.repeats_fused = dd.num_repeats;
         } else if (raw.size() > opt_.tau && p > 1) {
           const auto bounds =
               opt_.optimal_task_partition
@@ -768,103 +633,42 @@ class MafiaWorker {
           dd = dedup_from_flags(raw,
                                 pairwise_repeat_flags(raw, 0, raw.size()));
         }
-        cdus = std::move(dd.unique);
-        raw_to_unique = std::move(dd.raw_to_unique);
+        next.cdus = std::move(dd.unique);
+        next.raw_to_unique = std::move(dd.raw_to_unique);
       }
 
-      // ---- Level boundary: the loop-carried state above is everything the
-      // next iteration needs, so this is the recovery point.  Rank 0 writes;
-      // every rank opens the phase scope (the trace exchange requires
-      // identical phase sets on all ranks).  Append runs skip per-level
-      // writes — they publish one final checkpoint atomically at the end,
-      // so a crash mid-append leaves the base state untouched.
-      if (opt_.checkpoint.enabled() && !opt_.append) {
-        PhaseTracer::Scope sp(tracer_, "checkpoint");
-        if (comm_.is_parent()) {
-          CheckpointState state;
-          state.fingerprint = fingerprint_;
-          state.num_records = static_cast<std::uint64_t>(n);
-          state.num_dims = static_cast<std::uint32_t>(data_.num_dims());
-          state.level = level;
-          state.pending_raw_count = pending_raw_count;
-          state.pending_join = pending_join;
-          state.pending_join_kernel = pending_join_kernel;
-          state.join_kernel = join_stats_;
-          state.cdus = cdus;
-          state.prev_dense = prev_dense;
-          state.parents = parents;
-          state.raw_to_unique = raw_to_unique;
-          state.grids = grids_;
-          state.levels = trace_;
-          state.registered = registered_;
-          state.populate = populate_stats_;
-          write_checkpoint_file(opt_.checkpoint.directory, state);
-          ++recovery_.checkpoints_written;
-        }
-      }
+      // ---- Level boundary: the record completed here is everything a
+      // later run needs to replay this level, so this is the recovery
+      // point.
+      keep_record(std::move(rec), /*computed=*/base == nullptr);
+      rec = std::move(next);
     }
+    keep_record(std::move(rec), /*computed=*/false);
   }
 
-  /// The run index `level` counts from: over this rank's append batch
-  /// while the level reuses stored counts, over its whole partition
-  /// otherwise.  Built on first use with one record pass, and charged to
-  /// the budget then, sized for the worst-case partition so the guard
-  /// throws on every rank or none.  An append whose reuse chain breaks
-  /// swaps the batch index for the full one once; the chain never resumes.
-  const BitmapIndex& run_index(std::size_t level, bool batch_only) {
-    if (index_ && index_batch_only_ == batch_only) return *index_;
+  /// The run index `level` counts from: over this rank's new rows while
+  /// the level replays stored counts, over its whole partition otherwise.
+  /// Built on first use with one record pass, and charged to the budget
+  /// then, sized for the worst-case partition so the guard throws on every
+  /// rank or none.  A run whose chain ends swaps the new-row index for the
+  /// full one once; the chain never resumes.
+  const BitmapIndex& run_index(std::size_t level, bool new_rows_only) {
+    if (index_ && index_new_rows_only_ == new_rows_only) return *index_;
     PhaseTracer::Scope sp(tracer_, "populate");
-    const BlockRange& range = batch_only ? my_batch_ : my_records_;
+    const BlockRange& range = new_rows_only ? my_new_ : my_records_;
     const std::size_t records =
         static_cast<std::size_t>(data_.num_records()) -
-        (batch_only ? static_cast<std::size_t>(opt_.append->base_records) : 0);
+        (new_rows_only ? covered_ : 0);
     check_budget(level, "populate bitmap index",
                  BitmapIndex::bytes_for(
                      grids_.total_bins(),
                      ceil_div(records, static_cast<std::size_t>(comm_.size()))));
     index_.emplace(grids_, range.end - range.begin);
-    index_batch_only_ = batch_only;
-    const ChunkFn add = [this](const Value* rows, std::size_t nrows) {
+    index_new_rows_only_ = new_rows_only;
+    scan(range, "populate", [this](const Value* rows, std::size_t nrows) {
       index_->add(rows, nrows);
-    };
-    if (batch_only) {
-      scan_batch("populate", add);
-    } else {
-      scan_local("populate", add);
-    }
+    });
     return *index_;
-  }
-
-  // ----------------------------------------------------- checkpoint/resume
-
-  /// Collective resume decision.  Rank 0 scans the checkpoint directory for
-  /// the latest valid state and broadcasts its serialized form; an empty
-  /// blob means "start fresh".  Either way every rank leaves with the same
-  /// answer, so the level loop stays in lockstep.
-  std::optional<CheckpointState> maybe_resume() {
-    if (!opt_.checkpoint.enabled()) return std::nullopt;
-    PhaseTracer::Scope sp(tracer_, "checkpoint");
-    recovery_.checkpoint_enabled = true;
-    fingerprint_ = checkpoint_fingerprint(
-        opt_, static_cast<std::uint64_t>(data_.num_records()),
-        static_cast<std::uint32_t>(data_.num_dims()));
-    if (!opt_.checkpoint.resume) return std::nullopt;
-
-    std::vector<std::uint8_t> blob;
-    if (comm_.is_parent()) {
-      const CheckpointScan scan =
-          load_latest_checkpoint(opt_.checkpoint.directory, fingerprint_);
-      recovery_.checkpoints_discarded =
-          static_cast<std::size_t>(scan.discarded);
-      if (scan.state) blob = serialize_checkpoint(*scan.state);
-    }
-    comm_.bcast(blob);
-    if (blob.empty()) return std::nullopt;
-
-    CheckpointState state = deserialize_checkpoint(blob.data(), blob.size());
-    recovery_.resumed = true;
-    recovery_.resume_level = static_cast<std::size_t>(state.level);
-    return state;
   }
 
   /// Graceful degradation: fail fast with a structured error naming the
@@ -939,32 +743,17 @@ class MafiaWorker {
     }
   }
 
-  /// Chunked scan of this rank's record partition, pipelined when
-  /// opt_.io.prefetch is set and timed either way: the scan's I/O split
-  /// (read vs wait vs compute) is attributed to `phase` in the run trace.
-  void scan_local(const char* phase, const ChunkFn& fn) {
+  /// Chunked scan of `rows` (this rank's partition, or its new rows),
+  /// pipelined when opt_.io.prefetch is set and timed either way: the
+  /// scan's I/O split (read vs wait vs compute) is attributed to `phase` in
+  /// the run trace.
+  void scan(const BlockRange& rows, const char* phase, const ChunkFn& fn) {
     IoScanStats stats;
     if (pipelined_) {
-      pipelined_->scan_with_stats(my_records_.begin, my_records_.end,
-                                  opt_.chunk_records, fn, stats);
+      pipelined_->scan_with_stats(rows.begin, rows.end, opt_.chunk_records,
+                                  fn, stats);
     } else {
-      timed_scan(data_, my_records_.begin, my_records_.end,
-                 opt_.chunk_records, fn, stats);
-    }
-    tracer_.add_io(phase, stats);
-  }
-
-  /// scan_local over this rank's slice of the append batch only (the
-  /// records past base_records).  Used by every append-mode pass that
-  /// seeds from stored global state instead of rescanning the base data.
-  void scan_batch(const char* phase, const ChunkFn& fn) {
-    IoScanStats stats;
-    if (pipelined_) {
-      pipelined_->scan_with_stats(my_batch_.begin, my_batch_.end,
-                                  opt_.chunk_records, fn, stats);
-    } else {
-      timed_scan(data_, my_batch_.begin, my_batch_.end,
-                 opt_.chunk_records, fn, stats);
+      timed_scan(data_, rows.begin, rows.end, opt_.chunk_records, fn, stats);
     }
     tracer_.add_io(phase, stats);
   }
@@ -1003,24 +792,23 @@ class MafiaWorker {
   BlockRange my_records_;
   std::uint64_t fingerprint_ = 0;
 
-  // The run index (see run_index) and whether it covers only the batch.
+  // The run index (see run_index) and whether it covers only new rows.
   std::optional<BitmapIndex> index_;
-  bool index_batch_only_ = false;
+  bool index_new_rows_only_ = false;
 
-  // Append-base sections recorded for the final checkpoint (checkpointed
-  // runs only): attribute domains, the global fine histogram, and the
-  // per-level memo a future append run seeds from.
-  bool collect_memo_ = false;
+  // The start state (see load_start_state), the rows it covers, this
+  // rank's slice of the rows it does not, and whether its level records
+  // still replay.
+  std::optional<CheckpointState> start_;
+  std::size_t covered_ = 0;
+  BlockRange my_new_;
+  bool chain_ = false;
+
+  // This run's grid phase and level records, for its checkpoints.
   std::vector<Value> domain_lo_;
   std::vector<Value> domain_hi_;
   std::vector<Count> hist_counts_;
-  std::vector<AppendLevelMemo> memo_;
-
-  // Append-run state: this rank's slice of the new batch, the base run's
-  // final checkpoint, and whether the level-reuse chain is still intact.
-  BlockRange my_batch_;
-  std::optional<CheckpointState> append_base_;
-  bool append_chain_ = false;
+  std::vector<LevelRecord> records_;
 };
 
 }  // namespace

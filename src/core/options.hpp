@@ -28,14 +28,15 @@
 namespace mafia {
 
 /// Level-checkpoint/restart configuration (core/checkpoint.hpp).  With a
-/// directory set, rank 0 writes one CRC-guarded checkpoint file per
-/// completed level of the bottom-up loop; with `resume` also set, the run
-/// restores the latest valid checkpoint (falling back past corrupt or
-/// mismatched files) and continues from that level with bit-identical
-/// results to an uninterrupted run.
+/// directory set, rank 0 writes one CRC-guarded file per completed level
+/// of the bottom-up loop, holding that level's record, and a final
+/// checkpoint holding every record; with `resume` also set, the run
+/// replays the longest valid chain of level files (ending it at the first
+/// corrupt, missing or mismatched file) and continues from the next level
+/// with bit-identical results to an uninterrupted run.
 struct CheckpointConfig {
   std::string directory;  ///< empty = checkpointing disabled
-  bool resume = false;    ///< restore the latest valid checkpoint first
+  bool resume = false;    ///< replay the valid level-file chain first
 
   /// Data files the run consumes, in concatenation order, as (path,
   /// records) pairs.  Recorded verbatim in the final checkpoint so
@@ -54,8 +55,8 @@ struct CheckpointConfig {
 /// from it, scans only the batch for every level whose candidate set is
 /// provably unchanged, and falls back to full scans from the first level
 /// whose dense-unit flags diverge — so the result is bit-identical to a
-/// full rebuild on the concatenated data by construction, and the memo
-/// only buys speed.  A new final checkpoint (fingerprinted for the
+/// full rebuild on the concatenated data by construction, and the stored
+/// level records only buy speed.  A new final checkpoint (fingerprinted for the
 /// concatenated count) is written at the end; per-level checkpoint writes
 /// are suppressed, so a crash mid-append leaves the base state intact.
 struct AppendConfig {

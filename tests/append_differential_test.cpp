@@ -341,10 +341,12 @@ TEST(AppendDifferential, OptionMismatchInvalidatesBaseCheckpoint) {
   EXPECT_THROW((void)run_pmafia(all_source, ao, 2), InputError);
 }
 
-TEST(AppendDifferential, ResumedBaseFullRebuildsBitIdentically) {
-  // A base run that itself resumed mid-way never saw its early levels, so
-  // its final checkpoint carries no memo: the append run full-rebuilds
-  // (levels_reused == 0) and still matches the from-scratch answer.
+TEST(AppendDifferential, ResumedBaseReusesLevelsBitIdentically) {
+  // A base run that itself resumed mid-way replays its early levels from
+  // the level files, so its final checkpoint holds every level's record
+  // like an uninterrupted run's: the append run reuses stored levels
+  // (levels_reused >= 1) and still matches the from-scratch answer.  The
+  // batch is small enough that an uninterrupted base reuses every level.
   const Dataset base = base_data();
   InMemorySource base_source(base);
   ScratchDir dir("mafia_append_resumedbase");
@@ -365,13 +367,13 @@ TEST(AppendDifferential, ResumedBaseFullRebuildsBitIdentically) {
     GTEST_SKIP() << "kill fired before the first checkpoint; nothing to test";
   }
 
-  const Dataset all = concat(base, same_shape_batch(300));
+  const Dataset all = concat(base, same_shape_batch(30));
   InMemorySource all_source(all);
   MafiaOptions ao = base_options();
   ao.checkpoint.directory = dir.path();
   ao.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
   const MafiaResult inc = run_pmafia(all_source, ao, 2);
-  EXPECT_EQ(inc.append.levels_reused, 0u);
+  EXPECT_GE(inc.append.levels_reused, 1u);
   expect_bit_identical(inc, run_pmafia(all_source, base_options(), 2),
                        all_source);
 }

@@ -71,24 +71,35 @@ class ScratchDir {
   std::string path_;
 };
 
+/// A level record with every field set; `level` picks its level.
+LevelRecord sample_record(std::uint64_t level) {
+  LevelRecord rec;
+  rec.level = level;
+  const DimId d01[] = {0, 1};
+  const BinId b01[] = {2, 3};
+  const BinId b11[] = {1, 1};
+  rec.cdus = UnitStore(2);
+  rec.cdus.push(d01, b01);
+  rec.cdus.push(d01, b11);
+  rec.parents = {{0, 1}, {2, 3}};
+  rec.raw_to_unique = {0, 1};
+  rec.pending_raw_count = 12;
+  rec.pending_join = JoinStats{4, 9, 3, 1};
+  rec.pending_join_kernel = 2;
+  rec.counts = {40, 7};
+  rec.flags = {1, 0};
+  rec.unjoined_dus = 2;
+  rec.unjoined_units = {"{d0:b2}", "{d4:b7}"};
+  return rec;
+}
+
+/// A start state with every field set: the grid phase, records for levels
+/// 1 and 2, and provenance.
 CheckpointState sample_state() {
   CheckpointState state;
   state.fingerprint = 0xabcdef0123456789ull;
   state.num_records = 4000;
-  state.num_dims = 6;
-  state.level = 3;
-  state.pending_raw_count = 12;
-
-  const DimId d01[] = {0, 1};
-  const BinId b01[] = {2, 3};
-  state.cdus = UnitStore(2);
-  state.cdus.push(d01, b01);
-  const DimId d2[] = {4};
-  const BinId b2[] = {7};
-  state.prev_dense = UnitStore(1);
-  state.prev_dense.push(d2, b2);
-  state.parents = {{0, 1}, {2, 3}};
-  state.raw_to_unique = {0, 0, 1};
+  state.num_dims = 1;
 
   DimensionGrid g;
   g.dim = 0;
@@ -98,38 +109,14 @@ CheckpointState sample_state() {
   g.thresholds = {12.5, 30.0};
   g.uniform_fallback = true;
   state.grids.dims.push_back(g);
+  state.domain_lo = {0.0f};
+  state.domain_hi = {100.0f};
+  state.hist_counts = {1000, 0, 2500, 500};
 
-  LevelTrace l1;
-  l1.level = 1;
-  l1.ncdu_raw = 10;
-  l1.ncdu = 10;
-  l1.ndu = 4;
-  l1.count_checksum = 0x1111ull;
-  l1.populate_kernel = kPopulateKernelBitmap;
-  l1.bitmap_bytes = 4096;
-  l1.bitmap_words_anded = 320;
-  l1.unjoined_dus = 2;
-  l1.unjoined_units = {"{d0:b2}", "{d4:b7}"};
-  state.levels.push_back(l1);
-  LevelTrace l2;
-  l2.level = 2;
-  l2.ncdu_raw = 6;
-  l2.ncdu = 5;
-  l2.ndu = 2;
-  l2.count_checksum = 0x2222ull;
-  state.levels.push_back(l2);
-
-  UnitStore reg(1);
-  reg.push(d2, b2);
-  state.registered.push_back(reg);
-
-  state.populate.packed_sorted_subspaces = 3;
-  state.populate.packed_hash_subspaces = 1;
-  state.populate.memcmp_subspaces = 0;
-  state.populate.bitmap_subspaces = 2;
-  state.populate.block_records = 2048;
-  state.populate.bitmap_bytes = 4096;
-  state.populate.bitmap_words_anded = 320;
+  state.records.push_back(sample_record(1));
+  state.records.push_back(sample_record(2));
+  state.records[1].unjoined_units.clear();
+  state.provenance.push_back({"base.bin", 4000});
   return state;
 }
 
@@ -141,34 +128,38 @@ TEST(CheckpointFormat, SerializeRoundTrip) {
   EXPECT_EQ(out.fingerprint, in.fingerprint);
   EXPECT_EQ(out.num_records, in.num_records);
   EXPECT_EQ(out.num_dims, in.num_dims);
-  EXPECT_EQ(out.level, in.level);
-  EXPECT_EQ(out.pending_raw_count, in.pending_raw_count);
-  EXPECT_EQ(out.cdus.k(), in.cdus.k());
-  EXPECT_EQ(out.cdus.dim_bytes(), in.cdus.dim_bytes());
-  EXPECT_EQ(out.cdus.bin_bytes(), in.cdus.bin_bytes());
-  EXPECT_EQ(out.prev_dense.dim_bytes(), in.prev_dense.dim_bytes());
-  EXPECT_EQ(out.parents, in.parents);
-  EXPECT_EQ(out.raw_to_unique, in.raw_to_unique);
   ASSERT_EQ(out.grids.num_dims(), 1u);
   EXPECT_EQ(out.grids[0].edges, in.grids[0].edges);
   EXPECT_EQ(out.grids[0].thresholds, in.grids[0].thresholds);
   EXPECT_TRUE(out.grids[0].uniform_fallback);
-  ASSERT_EQ(out.levels.size(), 2u);
-  EXPECT_EQ(out.levels[1].count_checksum, 0x2222ull);
-  // Version-3 fields: per-level kernel id, bitmap counters, unjoined units.
-  EXPECT_EQ(out.levels[0].populate_kernel, kPopulateKernelBitmap);
-  EXPECT_EQ(out.levels[0].bitmap_bytes, 4096u);
-  EXPECT_EQ(out.levels[0].bitmap_words_anded, 320u);
-  EXPECT_EQ(out.levels[0].unjoined_dus, 2u);
-  EXPECT_EQ(out.levels[0].unjoined_units, in.levels[0].unjoined_units);
-  EXPECT_EQ(out.levels[1].populate_kernel, kPopulateKernelPacked);
-  EXPECT_TRUE(out.levels[1].unjoined_units.empty());
-  ASSERT_EQ(out.registered.size(), 1u);
-  EXPECT_EQ(out.registered[0].dim_bytes(), in.registered[0].dim_bytes());
-  EXPECT_EQ(out.populate.packed_sorted_subspaces, 3u);
-  EXPECT_EQ(out.populate.bitmap_subspaces, 2u);
-  EXPECT_EQ(out.populate.bitmap_bytes, 4096u);
-  EXPECT_EQ(out.populate.bitmap_words_anded, 320u);
+  EXPECT_EQ(out.domain_lo, in.domain_lo);
+  EXPECT_EQ(out.domain_hi, in.domain_hi);
+  EXPECT_EQ(out.hist_counts, in.hist_counts);
+  ASSERT_EQ(out.records.size(), 2u);
+  for (std::size_t i = 0; i < in.records.size(); ++i) {
+    const LevelRecord& a = out.records[i];
+    const LevelRecord& b = in.records[i];
+    EXPECT_EQ(a.level, b.level);
+    EXPECT_EQ(a.cdus.k(), b.cdus.k());
+    EXPECT_EQ(a.cdus.dim_bytes(), b.cdus.dim_bytes());
+    EXPECT_EQ(a.cdus.bin_bytes(), b.cdus.bin_bytes());
+    EXPECT_EQ(a.parents, b.parents);
+    EXPECT_EQ(a.raw_to_unique, b.raw_to_unique);
+    EXPECT_EQ(a.pending_raw_count, b.pending_raw_count);
+    EXPECT_EQ(a.pending_join.buckets, b.pending_join.buckets);
+    EXPECT_EQ(a.pending_join.probes, b.pending_join.probes);
+    EXPECT_EQ(a.pending_join.emitted, b.pending_join.emitted);
+    EXPECT_EQ(a.pending_join.repeats_fused, b.pending_join.repeats_fused);
+    EXPECT_EQ(a.pending_join_kernel, b.pending_join_kernel);
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.flags, b.flags);
+    EXPECT_EQ(a.unjoined_dus, b.unjoined_dus);
+    EXPECT_EQ(a.unjoined_units, b.unjoined_units);
+  }
+  EXPECT_TRUE(out.records[1].unjoined_units.empty());
+  ASSERT_EQ(out.provenance.size(), 1u);
+  EXPECT_EQ(out.provenance[0].path, "base.bin");
+  EXPECT_EQ(out.provenance[0].records, 4000u);
 }
 
 TEST(CheckpointFormat, RejectsCorruptionAsInputError) {
@@ -194,33 +185,57 @@ TEST(CheckpointFormat, RejectsCorruptionAsInputError) {
       (void)deserialize_checkpoint(bad_magic.data(), bad_magic.size()),
       InputError);
 
-  // Unsupported version.
+  // Unsupported version, including the previous one.
   auto bad_version = bytes;
   bad_version[8] = 99;
   EXPECT_THROW(
       (void)deserialize_checkpoint(bad_version.data(), bad_version.size()),
       InputError);
+  bad_version[8] = 4;
+  EXPECT_THROW(
+      (void)deserialize_checkpoint(bad_version.data(), bad_version.size()),
+      InputError);
+}
+
+/// Writes `state`'s records as level files: the first carries the grid
+/// phase, each later one only its record.
+void write_level_files(const std::string& dir, const CheckpointState& state) {
+  for (const LevelRecord& rec : state.records) {
+    CheckpointState file;
+    file.fingerprint = state.fingerprint;
+    file.num_records = state.num_records;
+    file.num_dims = state.num_dims;
+    if (rec.level == 1) {
+      file.grids = state.grids;
+      file.domain_lo = state.domain_lo;
+      file.domain_hi = state.domain_hi;
+      file.hist_counts = state.hist_counts;
+    }
+    file.records.push_back(rec);
+    write_checkpoint_file(dir, file);
+  }
 }
 
 TEST(CheckpointFormat, LoadLatestFallsBackPastCorruptFiles) {
   ScratchDir dir("mafia_ckpt_fallback");
   CheckpointState state = sample_state();
+  state.provenance.clear();
+  write_level_files(dir.path(), state);
 
-  state.level = 2;
-  write_checkpoint_file(dir.path(), state);
-  state.level = 3;
-  write_checkpoint_file(dir.path(), state);
-
-  // Untouched: the highest level wins.
+  // Untouched: the chain runs through the highest file, one level each.
   {
     const CheckpointScan scan =
         load_latest_checkpoint(dir.path(), state.fingerprint);
     ASSERT_TRUE(scan.state.has_value());
-    EXPECT_EQ(scan.state->level, 3u);
+    ASSERT_EQ(scan.state->records.size(), 2u);
+    EXPECT_EQ(scan.state->records[1].level, 2u);
+    EXPECT_EQ(scan.state->records[1].counts, state.records[1].counts);
+    EXPECT_EQ(scan.state->hist_counts, state.hist_counts);
     EXPECT_EQ(scan.discarded, 0u);
   }
 
-  // Corrupt level 3: fall back to level 2, counting the discard.
+  // Corrupt the highest file (level 2's record): fall back one level,
+  // counting the discard.
   {
     std::ofstream f(checkpoint_file_path(dir.path(), 3),
                     std::ios::binary | std::ios::trunc);
@@ -230,7 +245,8 @@ TEST(CheckpointFormat, LoadLatestFallsBackPastCorruptFiles) {
     const CheckpointScan scan =
         load_latest_checkpoint(dir.path(), state.fingerprint);
     ASSERT_TRUE(scan.state.has_value());
-    EXPECT_EQ(scan.state->level, 2u);
+    ASSERT_EQ(scan.state->records.size(), 1u);
+    EXPECT_EQ(scan.state->records[0].level, 1u);
     EXPECT_EQ(scan.discarded, 1u);
   }
 
@@ -241,12 +257,50 @@ TEST(CheckpointFormat, LoadLatestFallsBackPastCorruptFiles) {
     EXPECT_EQ(scan.discarded, 2u);
   }
 
+  // A missing file ends the chain: the files past it are discarded.
+  write_level_files(dir.path(), state);
+  fs::remove(checkpoint_file_path(dir.path(), 2));
+  {
+    const CheckpointScan scan =
+        load_latest_checkpoint(dir.path(), state.fingerprint);
+    EXPECT_FALSE(scan.state.has_value());
+    EXPECT_EQ(scan.discarded, 1u);
+  }
+
   // Missing directory is simply "no checkpoint".
   {
     const CheckpointScan scan =
         load_latest_checkpoint(dir.path() + "/nope", state.fingerprint);
     EXPECT_FALSE(scan.state.has_value());
     EXPECT_EQ(scan.discarded, 0u);
+  }
+}
+
+TEST(CheckpointFormat, FinalFileHoldsEveryRecordOnce) {
+  ScratchDir dir("mafia_ckpt_final");
+  const CheckpointState state = sample_state();
+  write_final_checkpoint(dir.path(), state);
+  const CheckpointScan scan = load_final_checkpoint(dir.path(), 0);
+  ASSERT_TRUE(scan.state.has_value());
+  EXPECT_EQ(scan.state->records.size(), 2u);
+  EXPECT_EQ(scan.state->provenance.size(), 1u);
+  EXPECT_FALSE(load_final_checkpoint(dir.path(), 0xdeadull).state.has_value());
+
+  // A level file holds its own record only, and only the first one
+  // carries the grid phase.
+  ScratchDir levels("mafia_ckpt_levels_once");
+  write_level_files(levels.path(), state);
+  for (const std::uint64_t level : {2u, 3u}) {
+    std::ifstream in(checkpoint_file_path(levels.path(), level),
+                     std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const CheckpointState file =
+        deserialize_checkpoint(bytes.data(), bytes.size());
+    ASSERT_EQ(file.records.size(), 1u);
+    EXPECT_EQ(file.records[0].level, level - 1);
+    EXPECT_EQ(file.grids.num_dims(), level == 2 ? 1u : 0u);
+    EXPECT_EQ(file.hist_counts.empty(), level != 2);
   }
 }
 
@@ -356,6 +410,34 @@ TEST(CheckpointRestart, ResumeWithoutCheckpointRunsFresh) {
   EXPECT_TRUE(r.recovery.checkpoint_enabled);
   EXPECT_GT(r.recovery.checkpoints_written, 0u);
   expect_same_result(r, run_pmafia(source, base_options(), 2));
+}
+
+TEST(CheckpointRestart, FreshRunClearsAnEarlierRunsLevelFiles) {
+  // Two data sets of the same shape share a fingerprint.  A fresh run of B
+  // in A's directory must not leave A's deeper level files behind, or a
+  // resume of B would continue from A's levels and report A's clusters.
+  ScratchDir dir("mafia_ckpt_stale");
+  const Dataset a = planted_data();
+  GeneratorConfig cfg;
+  cfg.num_dims = 6;
+  cfg.num_records = 8000;
+  cfg.seed = 29;
+  cfg.clusters.push_back(ClusterSpec::box({0, 2}, {60, 60}, {80, 80}));
+  const Dataset b = generate(cfg);
+  InMemorySource source_a(a);
+  InMemorySource source_b(b);
+
+  MafiaOptions options = base_options();
+  options.checkpoint.directory = dir.path();
+  const MafiaResult first = run_pmafia(source_a, options, 2);
+  const MafiaResult fresh = run_pmafia(source_b, options, 2);
+  ASSERT_NE(signature(first), signature(fresh));
+  ASSERT_LT(fresh.levels.size(), first.levels.size());
+
+  options.checkpoint.resume = true;
+  const MafiaResult resumed = run_pmafia(source_b, options, 2);
+  EXPECT_TRUE(resumed.recovery.resumed);
+  expect_same_result(resumed, fresh);
 }
 
 TEST(CheckpointRestart, OptionChangeInvalidatesOldCheckpoints) {

@@ -1,5 +1,5 @@
 // Tests for the common utilities: block partitioning, math helpers,
-// timers, the logging gate, and the byte codec.
+// timers, errors, and the byte codec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "common/math_util.hpp"
 #include "common/timer.hpp"
 
@@ -106,22 +105,6 @@ TEST(PhaseTimer, ScopedPhaseRecordsOnDestruction) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(t.get("work"), 0.005);
-}
-
-// ----------------------------------------------------------------- logging
-
-TEST(Log, LevelGateSuppressesBelowThreshold) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Silent);
-  // Nothing observable to assert about stderr here beyond "does not crash",
-  // but the macro must not evaluate its expression when gated.
-  int evaluated = 0;
-  MAFIA_LOG(LogLevel::Debug, "value=" << ++evaluated);
-  EXPECT_EQ(evaluated, 0) << "log expression evaluated while suppressed";
-  set_log_level(LogLevel::Debug);
-  MAFIA_LOG(LogLevel::Debug, "value=" << ++evaluated);
-  EXPECT_EQ(evaluated, 1);
-  set_log_level(before);
 }
 
 // ------------------------------------------------------------------ errors

@@ -586,6 +586,41 @@ TEST(RecordPasses, AppendWhoseChainHoldsScansOnlyTheBatch) {
             (Profile{{2, all.num_records() - b}}));
 }
 
+TEST(RecordPasses, AppendOnAResumedBaseScansOnlyTheBatch) {
+  // A base build that crashed after its first level file and resumed
+  // still leaves every level's record in its final checkpoint, so an
+  // append on it reads the batch for the histogram and its index, and
+  // never the base.
+  const Dataset base = generate(record_pass_config(6000, 3));
+  CheckpointDir dir("mafia_core_append_resumed_passes");
+  MafiaOptions opts = default_options();
+  opts.checkpoint.directory = dir.path();
+  {
+    InMemorySource base_source(base);
+    const MafiaResult full = run_pmafia(base_source, opts, 2);
+    ASSERT_GE(full.levels.size(), 3u);
+    // The crash: only the first level file survives.
+    std::filesystem::remove(final_checkpoint_path(dir.path()));
+    for (std::size_t level = 3; level <= full.levels.size() + 1; ++level) {
+      std::filesystem::remove(checkpoint_file_path(dir.path(), level));
+    }
+    MafiaOptions resume = opts;
+    resume.checkpoint.resume = true;
+    ASSERT_TRUE(run_pmafia(base_source, resume, 2).recovery.resumed);
+  }
+  const Dataset all = concat(base, generate(record_pass_config(7, 4)));
+  InMemorySource inner(all);
+  CountingSource source(inner);
+  opts.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
+  const MafiaResult r = run_pmafia(source, opts, 2);
+  ASSERT_EQ(r.append.levels_rerun, 0u);
+  ASSERT_GE(r.append.levels_reused, 3u);
+  const RecordIndex b = base.num_records();
+  EXPECT_EQ(source.profile(0, b), (Profile{{0, b}}));
+  EXPECT_EQ(source.profile(b, all.num_records()),
+            (Profile{{2, all.num_records() - b}}));
+}
+
 TEST(RecordPasses, AppendWhoseChainBreaksBuildsTheFullIndexOnce) {
   // Every base record is read exactly once, by the full-partition index,
   // whether the chain never arms or breaks after reusing a level.
