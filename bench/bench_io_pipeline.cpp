@@ -15,6 +15,12 @@
 // sides of the ratio are dominated by the same deterministic throttle
 // sleeps rather than by machine-dependent per-pass compute.
 //
+// Every level must be a chunked data pass for prefetching to have
+// anything to overlap, so the A/B runs under a budget one byte below the
+// run index: run_pmafia then rescans every level's rows in B-record
+// chunks (each indexed, counted and cleared) instead of counting every
+// level from one in-memory index.
+//
 // Two pmafia-bench-v1 rows land in BENCH_io.json (tags e2e-prefetch=off /
 // e2e-prefetch=on); scripts/bench_gate.py --speedup io:... turns their
 // total_seconds ratio into a hard >= 1.3x gate.  The ratio is intra-run
@@ -52,9 +58,6 @@ MafiaOptions base_options() {
   MafiaOptions o;
   o.fixed_domain = {{0.0f, 100.0f}};
   o.chunk_records = 4096;
-  // The memcmp populate kernel keeps per-chunk compute substantial, so the
-  // calibrated throttle lands at a sleep long enough to time reliably.
-  o.populate.kernel = PopulateKernel::Memcmp;
   return o;
 }
 
@@ -66,19 +69,24 @@ int main() {
   bench::print_header(
       "I/O pipeline — prefetching off vs on at calibrated disk bandwidth",
       "Algorithm 2: every pass reads N/p chunks of B records, then computes",
-      "10-d planted clusters, throttled FileSource, read ~ 1.5x compute");
+      "10-d planted clusters, per-level rescan, throttled FileSource, "
+      "read ~ 1.5x compute");
 
   // p = 1 keeps the A/B honest on any core count: with several rank
   // threads, one rank's throttle sleep already overlaps a sibling's
   // compute at the OS level and the prefetch win would be understated.
   const int p = 1;
-  const RecordIndex records = bench::scaled(120000);
+  // Sized so the calibrated scan compute stays at or above 0.1 s: long
+  // enough for the throttle sleeps to time reliably.
+  const RecordIndex records = bench::scaled(960000);
   const Dataset data = generate(workload(records));
   const std::string rec_path =
       (std::filesystem::temp_directory_path() / "mafia_bench_io.rec").string();
   write_record_file(rec_path, data, /*with_labels=*/false);
   const FileSource file(rec_path);
-  const MafiaOptions options = base_options();
+  MafiaOptions options = base_options();
+  options.max_cdu_bytes =
+      run_pmafia(file, options, p).populate_kernel.bitmap_bytes - 1;
 
   // ---- calibration: unthrottled run -> this machine's compute seconds
   // and bytes per full set of data passes.

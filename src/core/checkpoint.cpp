@@ -263,6 +263,31 @@ void require_start_at_level_one(const CheckpointState& state) {
                 "level 1");
 }
 
+/// Requires `rec` to replay safely after `prev`, the record of the level
+/// before it: the replay reads flags[raw_to_unique[r]] and marks
+/// prev_dense[parents[r]], and the CRC only proves the bytes are the ones
+/// written, not that a writer produced them.  So every raw candidate needs
+/// its unique index inside `rec`'s candidates, and every parent index must
+/// fall inside `prev`'s dense units — its set flags.
+void require_replayable(const LevelRecord& prev, const LevelRecord& rec) {
+  const std::string level = "checkpoint: level " + std::to_string(rec.level);
+  require_input(rec.raw_to_unique.size() == rec.parents.size(),
+                level + " has a dedup map not aligned with its parent pairs");
+  require_input(
+      std::all_of(rec.raw_to_unique.begin(), rec.raw_to_unique.end(),
+                  [&rec](std::uint32_t u) { return u < rec.cdus.size(); }),
+      level + " maps a candidate past its unique candidates");
+  const auto dense = static_cast<std::size_t>(
+      std::count_if(prev.flags.begin(), prev.flags.end(),
+                    [](std::uint8_t f) { return f != 0; }));
+  require_input(
+      std::all_of(rec.parents.begin(), rec.parents.end(),
+                  [dense](const std::pair<std::uint32_t, std::uint32_t>& pr) {
+                    return pr.first < dense && pr.second < dense;
+                  }),
+      level + " names a parent past the previous level's dense units");
+}
+
 /// Levels of the level files under `directory`, ascending.
 std::vector<std::uint64_t> level_file_levels(const std::string& directory) {
   namespace fs = std::filesystem;
@@ -323,6 +348,9 @@ CheckpointScan load_final_checkpoint(const std::string& directory,
     require_input(fingerprint == 0 || state->fingerprint == fingerprint,
                   "checkpoint: options/data fingerprint mismatch");
     require_start_at_level_one(*state);
+    for (std::size_t i = 1; i < state->records.size(); ++i) {
+      require_replayable(state->records[i - 1], state->records[i]);
+    }
     scan.state = std::move(state);
   } catch (const InputError&) {
     ++scan.discarded;
@@ -352,6 +380,7 @@ CheckpointScan load_latest_checkpoint(const std::string& directory,
         require_start_at_level_one(*file);
         scan.state = std::move(file);
       } else {
+        require_replayable(scan.state->records.back(), file->records.front());
         scan.state->records.push_back(std::move(file->records.front()));
       }
       ++linked;

@@ -35,20 +35,24 @@
 //
 // Torn writes cannot produce a "valid" half-checkpoint: files are written
 // to a temp name and atomically renamed, and the CRC guards everything
-// after the header.  A level file that is missing, short, corrupt, from
-// another format version, or fingerprinted for different options/data ends
-// the chain; it and every later file count as discarded, so the run
-// report can surface them.
+// after the header.  The CRC is not an authenticator, though, so the
+// loaders also check what the replay indexes with: every record past level
+// 1 maps each raw candidate into its own candidates and names parents
+// inside the previous level's dense units.  A level file that is missing,
+// short, corrupt, from another format version, fingerprinted for
+// different options/data, or fails those checks ends the chain; it and
+// every later file count as discarded, so the run report can surface
+// them.  A final file that fails them is discarded the same way.
 //
 // The options fingerprint covers every knob that changes the computed
 // state (grid parameters, density policy, join rule, dedup policy, tau,
 // partitioning, max_level, domains, MDL pruning) and deliberately excludes
-// knobs that provably don't (chunk size B, populate kernel selection and
-// tuning — packed, memcmp, and bitmap produce bit-identical counts — join
+// knobs that provably don't (chunk size B, the memory budget — the run
+// index and the per-level rescan produce bit-identical counts — join
 // kernel selection — bucketed and pairwise joins are bit-identical — and
 // rank count p; the determinism suite pins result invariance across all
-// four), so a resume may legally change them, including switching
-// --populate-kernel across the resume boundary.
+// four), so a resume may legally change them, including a budget that
+// switches the populate regime across the resume boundary.
 #pragma once
 
 #include <cstdint>
@@ -164,8 +168,9 @@ struct CheckpointScan {
 /// Joins the level files under `directory` into the longest valid chain
 /// from level 1: the first file must carry the grid phase, and each file
 /// must deserialize cleanly, match `fingerprint`, and hold the next level's
-/// record.  The first file that does not ends the chain; it and every later
-/// file count as discarded.  A missing directory is simply "no checkpoint".
+/// record, whose replay indices fit the chain so far.  The first file
+/// that does not ends the chain; it and every later file count as
+/// discarded.  A missing directory is simply "no checkpoint".
 [[nodiscard]] CheckpointScan load_latest_checkpoint(
     const std::string& directory, std::uint64_t fingerprint);
 
@@ -179,8 +184,9 @@ struct CheckpointScan {
 void write_final_checkpoint(const std::string& directory,
                             const CheckpointState& state);
 
-/// Loads the final checkpoint under `directory` if present, valid, and
-/// fingerprinted `fingerprint` (0 = accept any fingerprint).  Invalid or
+/// Loads the final checkpoint under `directory` if present, valid (replay
+/// indices included), and fingerprinted `fingerprint` (0 = accept any
+/// fingerprint).  Invalid or
 /// mismatched files count as discarded, exactly like
 /// load_latest_checkpoint.
 [[nodiscard]] CheckpointScan load_final_checkpoint(

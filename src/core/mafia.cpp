@@ -329,10 +329,7 @@ class MafiaWorker {
     chain_ = !stored.empty() && grids_binning_equal(grids_, start_->grids) &&
              stores_equal(stored.front().cdus, rec.cdus);
     UnitStore prev_dense(1);
-    // Packed and Memcmp rescan the records every level; Auto and Bitmap
-    // count every level from the run index.
-    const bool rescan_kernel = opt_.populate.kernel == PopulateKernel::Packed ||
-                               opt_.populate.kernel == PopulateKernel::Memcmp;
+    choose_populate_regime();
 
     while (true) {
       const std::size_t level = rec.level;
@@ -343,41 +340,20 @@ class MafiaWorker {
       // rows.
       const LevelRecord* base =
           chain_ && level <= stored.size() ? &stored[level - 1] : nullptr;
-      // ---- Populate candidates (data parallel): each rank counts its N/p
-      // records — from the run index, or by rescanning them in B-record
-      // chunks — then Reduce globalizes the counts.
-      const BitmapIndex* index =
-          rescan_kernel ? nullptr : &run_index(level, base != nullptr);
-      UnitPopulator populator(grids_, cdus, opt_.populate, index);
-      if (rescan_kernel) {
-        // The lookup tables join the budget, sized for the worst-case
-        // partition, not this rank's, so the collective guard throws on
-        // every rank or none.
-        check_budget(level, populator.auxiliary_component(),
-                     populator.auxiliary_bytes(ceil_div(
-                         static_cast<std::size_t>(n),
-                         static_cast<std::size_t>(p))));
-      }
-      {
-        PhaseTracer::Scope sp(tracer_, "populate");
-        if (rescan_kernel) {
-          scan(base != nullptr ? my_new_ : my_records_, "populate",
-               [&](const Value* rows, std::size_t nrows) {
-                 populator.accumulate(rows, nrows);
-               });
-        }
-        comm_.allreduce_sum(populator.counts());
-        // Seed AFTER the allreduce: the stored counts are already global,
-        // so they must enter the sum exactly once, not once per rank.
-        if (base != nullptr) populator.seed_counts(base->counts);
-      }
+      LevelTrace t;
+      t.level = level;
+      t.ncdu_raw = rec.pending_raw_count;
+      t.ncdu = cdus.size();
+      t.join_buckets = rec.pending_join.buckets;
+      t.join_probes = rec.pending_join.probes;
+      t.join_emitted = rec.pending_join.emitted;
+      t.join_repeats_fused = rec.pending_join.repeats_fused;
+      rec.counts = populate(level, cdus, base, t);
+      const std::vector<Count>& counts = rec.counts;
       if (opt_.append) {
         ++(base != nullptr ? append_stats_.levels_reused
                            : append_stats_.levels_rerun);
       }
-      // Merge kernel stats only after counts() finalized the scan (the
-      // bitmap kernel's AND-work counter is filled by that finalization).
-      populate_stats_.merge(populator.kernel_stats());
 
       // ---- Identify dense units (task parallel, Algorithm 5).
       std::vector<std::uint8_t>& flags = rec.flags;
@@ -388,15 +364,15 @@ class MafiaWorker {
           const BlockRange r = block_partition(cdus.size(),
                                                static_cast<std::size_t>(p),
                                                static_cast<std::size_t>(rank));
-          identify_dense_units(cdus, populator.counts(), grids_, opt_.density,
-                               dctx, r.begin, r.end, flags);
+          identify_dense_units(cdus, counts, grids_, opt_.density, dctx,
+                               r.begin, r.end, flags);
           comm_.allreduce_or(flags);
         } else {
-          identify_dense_units(cdus, populator.counts(), grids_, opt_.density,
-                               dctx, 0, cdus.size(), flags);
+          identify_dense_units(cdus, counts, grids_, opt_.density, dctx, 0,
+                               cdus.size(), flags);
         }
       }
-      if (opt_.mdl_pruning) apply_mdl_pruning(cdus, populator.counts(), flags);
+      if (opt_.mdl_pruning) apply_mdl_pruning(cdus, counts, flags);
 
       // Compare the fresh dense flags against the stored ones.  Any
       // divergence means the next level's candidate set differs from the
@@ -413,26 +389,8 @@ class MafiaWorker {
       std::size_t ndu = 0;
       for (const std::uint8_t f : flags) ndu += (f != 0);
 
-      {
-        LevelTrace t;
-        t.level = level;
-        t.ncdu_raw = rec.pending_raw_count;
-        t.ncdu = cdus.size();
-        t.ndu = ndu;
-        t.count_checksum = count_vector_checksum(populator.counts());
-        t.join_buckets = rec.pending_join.buckets;
-        t.join_probes = rec.pending_join.probes;
-        t.join_emitted = rec.pending_join.emitted;
-        t.join_repeats_fused = rec.pending_join.repeats_fused;
-        switch (populator.effective_kernel()) {
-          case PopulateKernel::Bitmap: t.populate_kernel = kPopulateKernelBitmap; break;
-          case PopulateKernel::Memcmp: t.populate_kernel = kPopulateKernelMemcmp; break;
-          default: t.populate_kernel = kPopulateKernelPacked; break;
-        }
-        t.bitmap_bytes = populator.kernel_stats().bitmap_bytes;
-        t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
-        trace_.push_back(std::move(t));
-      }
+      t.ndu = ndu;
+      trace_.push_back(std::move(t));
       if (rec.pending_join_kernel != 0) {
         join_stats_.bucketed_levels += (rec.pending_join_kernel == 2);
         join_stats_.pairwise_levels += (rec.pending_join_kernel == 1);
@@ -441,7 +399,6 @@ class MafiaWorker {
         join_stats_.emitted += rec.pending_join.emitted;
         join_stats_.repeats_fused += rec.pending_join.repeats_fused;
       }
-      rec.counts = std::move(populator.counts());
 
       // ---- Register maximal units of the previous level: a (k−1)-dim
       // dense unit whose every candidate child failed the density test (or
@@ -646,6 +603,53 @@ class MafiaWorker {
     keep_record(std::move(rec), /*computed=*/false);
   }
 
+  /// Picks the populate regime once per run, from the run index over the
+  /// worst-case partition — the one the budget would be charged — so every
+  /// rank picks alike: that index when it fits --max-cdu-bytes (or there
+  /// is no budget), else Algorithm 2's out-of-core pass, which rescans
+  /// every level's rows in chunks through an index of one chunk.
+  void choose_populate_regime() {
+    const std::size_t worst =
+        ceil_div(static_cast<std::size_t>(data_.num_records()),
+                 static_cast<std::size_t>(comm_.size()));
+    rescan_ = opt_.max_cdu_bytes != 0 &&
+              BitmapIndex::bytes_for(grids_.total_bins(), worst) >
+                  opt_.max_cdu_bytes;
+    batch_index_bytes_ = BitmapIndex::bytes_for(
+        grids_.total_bins(), std::min(opt_.chunk_records, worst));
+  }
+
+  /// Populate phase of one level (data parallel): each rank counts its
+  /// N/p records — from the run index, or by rescanning them in B-record
+  /// chunks — then Reduce globalizes the counts.  A level that replays a
+  /// stored record counts only the new rows and adds the stored counts.
+  /// Fills the populate fields of `t`; returns the global counts.
+  std::vector<Count> populate(std::size_t level, const UnitStore& cdus,
+                              const LevelRecord* base, LevelTrace& t) {
+    PhaseTracer::Scope sp(tracer_, "populate");
+    const bool new_rows_only = base != nullptr;
+    UnitPopulator populator(
+        grids_, cdus, opt_.populate,
+        rescan_ ? nullptr : &run_index(level, new_rows_only));
+    if (rescan_) {
+      check_budget(level, "populate bitmap index", batch_index_bytes_);
+      scan(new_rows_only ? my_new_ : my_records_, "populate",
+           [&populator](const Value* rows, std::size_t nrows) {
+             populator.accumulate(rows, nrows);
+           });
+    }
+    comm_.allreduce_sum(populator.counts());
+    // Seed AFTER the allreduce: the stored counts are already global, so
+    // they must enter the sum exactly once, not once per rank.
+    if (base != nullptr) populator.seed_counts(base->counts);
+    populate_stats_.merge(populator.kernel_stats());
+    t.count_checksum = count_vector_checksum(populator.counts());
+    t.populate_rescan = rescan_;
+    t.bitmap_bytes = populator.kernel_stats().bitmap_bytes;
+    t.bitmap_words_anded = populator.kernel_stats().bitmap_words_anded;
+    return std::move(populator.counts());
+  }
+
   /// The run index `level` counts from: over this rank's new rows while
   /// the level replays stored counts, over its whole partition otherwise.
   /// Built on first use with one record pass, and charged to the budget
@@ -654,7 +658,6 @@ class MafiaWorker {
   /// full one once; the chain never resumes.
   const BitmapIndex& run_index(std::size_t level, bool new_rows_only) {
     if (index_ && index_new_rows_only_ == new_rows_only) return *index_;
-    PhaseTracer::Scope sp(tracer_, "populate");
     const BlockRange& range = new_rows_only ? my_new_ : my_records_;
     const std::size_t records =
         static_cast<std::size_t>(data_.num_records()) -
@@ -792,7 +795,11 @@ class MafiaWorker {
   BlockRange my_records_;
   std::uint64_t fingerprint_ = 0;
 
-  // The run index (see run_index) and whether it covers only new rows.
+  // The populate regime (see choose_populate_regime) with the bytes of the
+  // rescan's chunk index, and the run index (see run_index) with whether
+  // it covers only new rows.
+  bool rescan_ = false;
+  std::size_t batch_index_bytes_ = 0;
   std::optional<BitmapIndex> index_;
   bool index_new_rows_only_ = false;
 

@@ -144,11 +144,8 @@ struct MafiaOptions {
   /// io stats in the run report show the split.
   IoConfig io;
 
-  /// Populate-kernel selection and tuning: Auto (= Bitmap) counts every
-  /// level from a bitmap index each rank builds once per run over its
-  /// partition; Packed and Memcmp rescan the records every level in
-  /// O(chunk) memory, with block_records as their sweep block.  The chosen
-  /// kernels are surfaced in the run report's populate_kernel object.
+  /// Not read by run_pmafia (see PopulateKernel).  The populate regime is
+  /// picked by max_cdu_bytes: see there.
   PopulateConfig populate;
 
   /// tau: below this many units, task-parallel phases degenerate to every
@@ -196,9 +193,9 @@ struct MafiaOptions {
   std::size_t min_cluster_dims = 2;
 
   /// Level-checkpoint/restart: see CheckpointConfig.  Checkpoint contents
-  /// are independent of chunk_records, populate kernel selection/tuning,
-  /// and rank count (results are invariant to all three), so a resume may
-  /// change them — including switching --populate-kernel mid-run.
+  /// are independent of chunk_records, max_cdu_bytes and rank count
+  /// (results are invariant to all three), so a resume may change them —
+  /// including a budget that switches the populate regime mid-run.
   CheckpointConfig checkpoint;
 
   /// Incremental append-batch mode (see AppendConfig).  Requires a
@@ -210,10 +207,13 @@ struct MafiaOptions {
 
   /// Graceful degradation: hard cap, in bytes, on one level's memory
   /// components — the CDU stores (dim/bin byte arrays plus the count
-  /// vector) and the kernels' auxiliary structures (the run's populate
-  /// bitmap index, charged when it is built, or the rescan kernels' lookup
-  /// tables, both sized for the worst-case partition; the join bucket
-  /// index).
+  /// vector), the populate bitmap index and the join bucket index.
+  /// It also picks the populate regime, once per run and alike on every
+  /// rank: when the run index over the worst-case partition (total bins ×
+  /// ⌈N/p⌉ bits) fits, or no budget is set, every level counts from it;
+  /// otherwise every level rescans its rows in chunk_records batches, each
+  /// indexed, counted and cleared, and the batch index (total bins ×
+  /// min(chunk_records, ⌈N/p⌉) bits) is what the budget is charged.
   /// Exceeding it throws mafia::ResourceError naming the level and the
   /// offending component instead of OOM-ing mid-allocation.  0 = unlimited.
   std::size_t max_cdu_bytes = 0;
@@ -236,8 +236,6 @@ struct MafiaOptions {
     grid.validate();
     io.validate();
     require(chunk_records >= 1, "MafiaOptions: chunk_records must be positive");
-    require(populate.block_records >= 1,
-            "MafiaOptions: populate.block_records must be positive");
     require(max_level >= 1, "MafiaOptions: max_level must be positive");
     require(!checkpoint.resume || checkpoint.enabled(),
             "MafiaOptions: resume requires a checkpoint directory");

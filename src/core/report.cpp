@@ -83,26 +83,18 @@ std::string render_report(const MafiaResult& result) {
     os << "  " << std::setw(3) << t.level << std::setw(12) << t.ncdu_raw
        << std::setw(14) << t.ncdu << std::setw(14) << t.ndu << std::setw(14)
        << t.join_probes << std::setw(14) << t.join_buckets << std::setw(10)
-       << t.unjoined_dus << std::setw(9) << populate_kernel_name(t.populate_kernel)
-       << "\n";
+       << t.unjoined_dus << std::setw(9)
+       << (t.populate_rescan ? "rescan" : "index") << "\n";
   }
   if (result.total_unjoined_dus() > 0) {
     os << "  unjoined dense units (could not be combined): "
        << result.total_unjoined_dus() << " over the run\n";
   }
 
-  os << "\npopulate kernel (subspaces over all levels): packed-sorted "
-     << result.populate_kernel.packed_sorted_subspaces << ", packed-hash "
-     << result.populate_kernel.packed_hash_subspaces << ", memcmp "
-     << result.populate_kernel.memcmp_subspaces << ", bitmap "
-     << result.populate_kernel.bitmap_subspaces << ", block "
-     << result.populate_kernel.block_records << " records";
-  if (result.populate_kernel.bitmap_subspaces > 0) {
-    os << "; bitmap index peak " << result.populate_kernel.bitmap_bytes
-       << " bytes, " << result.populate_kernel.bitmap_words_anded
-       << " words ANDed";
-  }
-  os << "\n";
+  const PopulateKernelStats& pk = result.populate_kernel;
+  os << "\npopulate (bitmap index): " << pk.bitmap_subspaces
+     << " subspaces over all levels, peak " << pk.bitmap_bytes << " bytes, "
+     << pk.bitmap_words_anded << " words ANDed\n";
 
   os << "join kernel (levels over the run): bucketed "
      << result.join_kernel.bucketed_levels << ", pairwise "
@@ -224,7 +216,7 @@ std::string render_report_json(const MafiaResult& result,
     w.key("join_probes").value(t.join_probes);
     w.key("join_emitted").value(t.join_emitted);
     w.key("join_repeats_fused").value(t.join_repeats_fused);
-    w.key("populate_kernel").value(populate_kernel_name(t.populate_kernel));
+    w.key("populate_kernel").value(t.populate_rescan ? "rescan" : "index");
     w.key("bitmap_bytes").value(t.bitmap_bytes);
     w.key("bitmap_words_anded").value(t.bitmap_words_anded);
     // gpumafia's find_unjoined_dus: the level's dense units no join could
@@ -237,15 +229,11 @@ std::string render_report_json(const MafiaResult& result,
   }
   w.end_array();
 
-  // Which populate kernels the run selected (per-subspace, summed over
-  // levels) and the block size of the subspace-major sweep — so a recorded
-  // populate-phase time is attributable to a concrete kernel configuration.
+  // The populate index's work over the run (subspaces summed over levels,
+  // peak footprint, words ANDed), so a recorded populate-phase time is
+  // attributable to the counting it did.
   w.key("populate_kernel").begin_object();
-  w.key("packed_sorted_subspaces").value(result.populate_kernel.packed_sorted_subspaces);
-  w.key("packed_hash_subspaces").value(result.populate_kernel.packed_hash_subspaces);
-  w.key("memcmp_subspaces").value(result.populate_kernel.memcmp_subspaces);
   w.key("bitmap_subspaces").value(result.populate_kernel.bitmap_subspaces);
-  w.key("block_records").value(result.populate_kernel.block_records);
   w.key("bitmap_bytes").value(result.populate_kernel.bitmap_bytes);
   w.key("bitmap_words_anded").value(result.populate_kernel.bitmap_words_anded);
   w.end_object();

@@ -24,21 +24,6 @@ namespace mafia {
 /// (the count is always exact; the list is a diagnostic sample).
 inline constexpr std::size_t kMaxUnjoinedListed = 32;
 
-/// Per-level populate kernel ids recorded in LevelTrace::populate_kernel
-/// (the resolved kernel family, Auto and the k > 8 fallback applied).
-inline constexpr std::uint8_t kPopulateKernelPacked = 0;
-inline constexpr std::uint8_t kPopulateKernelMemcmp = 1;
-inline constexpr std::uint8_t kPopulateKernelBitmap = 2;
-
-/// Report name of a LevelTrace::populate_kernel id.
-[[nodiscard]] inline const char* populate_kernel_name(std::uint8_t id) {
-  switch (id) {
-    case kPopulateKernelMemcmp: return "memcmp";
-    case kPopulateKernelBitmap: return "bitmap";
-    default: return "packed";
-  }
-}
-
 /// One level of the bottom-up search.
 struct LevelTrace {
   std::size_t level = 0;     ///< k (unit dimensionality)
@@ -46,7 +31,7 @@ struct LevelTrace {
   std::size_t ncdu = 0;      ///< unique CDUs populated (the paper's Ncdu)
   std::size_t ndu = 0;       ///< dense units identified (the paper's Ndu)
   /// FNV-1a over the level's globalized populate counts, in CDU order.
-  /// Identical on every rank and for every (p, B, kernel) configuration —
+  /// Identical on every rank and for every (p, B, populate regime) —
   /// the determinism tests compare it across rank counts, and it pins the
   /// populate output of a run without shipping the full count vector.
   std::uint64_t count_checksum = 0;
@@ -58,11 +43,12 @@ struct LevelTrace {
   std::uint64_t join_probes = 0;
   std::uint64_t join_emitted = 0;
   std::uint64_t join_repeats_fused = 0;
-  /// Kernel family the level's populate ran on (kPopulateKernel*); Auto and
-  /// the k > 8 packed fallback are resolved before recording.
-  std::uint8_t populate_kernel = kPopulateKernelPacked;
+  /// True when the level rescanned its rows in chunks because the run
+  /// index did not fit --max-cdu-bytes; false when it counted from the run
+  /// index.  The report names it "rescan" or "index".
+  bool populate_rescan = false;
   /// Bitmap-index footprint and AND-reduction work for this level's
-  /// populate (zero unless the bitmap kernel ran).
+  /// populate.
   std::uint64_t bitmap_bytes = 0;
   std::uint64_t bitmap_words_anded = 0;
   /// gpumafia's find_unjoined_dus, per level: dense units of this level

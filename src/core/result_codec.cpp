@@ -6,7 +6,7 @@ namespace mafia {
 
 namespace {
 
-constexpr std::uint32_t kWorkerResultVersion = 2;  // v2: AppendStats tail
+constexpr std::uint32_t kWorkerResultVersion = 3;  // v3: one populate kernel
 
 }  // namespace
 
@@ -68,7 +68,7 @@ void write_level_trace(ByteWriter& w, const LevelTrace& t) {
   w.pod(t.join_probes);
   w.pod(t.join_emitted);
   w.pod(t.join_repeats_fused);
-  w.pod(t.populate_kernel);
+  w.pod(static_cast<std::uint8_t>(t.populate_rescan));
   w.pod(t.bitmap_bytes);
   w.pod(t.bitmap_words_anded);
   w.pod(t.unjoined_dus);
@@ -87,7 +87,7 @@ LevelTrace read_level_trace(ByteReader& r) {
   t.join_probes = r.pod<std::uint64_t>();
   t.join_emitted = r.pod<std::uint64_t>();
   t.join_repeats_fused = r.pod<std::uint64_t>();
-  t.populate_kernel = r.pod<std::uint8_t>();
+  t.populate_rescan = r.pod<std::uint8_t>() != 0;
   t.bitmap_bytes = r.pod<std::uint64_t>();
   t.bitmap_words_anded = r.pod<std::uint64_t>();
   t.unjoined_dus = r.pod<std::uint64_t>();
@@ -181,11 +181,7 @@ std::vector<std::uint8_t> serialize_worker_result(const WorkerResult& wr) {
     w.str(name);
     w.pod(secs);
   }
-  w.pod(static_cast<std::uint64_t>(wr.populate.packed_sorted_subspaces));
-  w.pod(static_cast<std::uint64_t>(wr.populate.packed_hash_subspaces));
-  w.pod(static_cast<std::uint64_t>(wr.populate.memcmp_subspaces));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_subspaces));
-  w.pod(static_cast<std::uint64_t>(wr.populate.block_records));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_bytes));
   w.pod(static_cast<std::uint64_t>(wr.populate.bitmap_words_anded));
   w.pod(wr.join_kernel.bucketed_levels);
@@ -249,15 +245,7 @@ WorkerResult deserialize_worker_result(const std::uint8_t* data,
       std::string name = r.str();
       wr.trace.max_phases.add(name, r.pod<double>());
     }
-    wr.populate.packed_sorted_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    wr.populate.packed_hash_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    wr.populate.memcmp_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
     wr.populate.bitmap_subspaces =
-        static_cast<std::size_t>(r.pod<std::uint64_t>());
-    wr.populate.block_records =
         static_cast<std::size_t>(r.pod<std::uint64_t>());
     wr.populate.bitmap_bytes =
         static_cast<std::size_t>(r.pod<std::uint64_t>());

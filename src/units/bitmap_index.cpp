@@ -167,30 +167,13 @@ BitmapIndex::BitmapIndex(const GridSet& grids, std::size_t capacity_rows,
     first_[j] = num_bitsets_;
     num_bitsets_ += grids[j].num_bins();
   }
-  reserve_rows(capacity_rows);
-}
-
-void BitmapIndex::reserve_rows(std::size_t rows) {
-  const std::size_t need = (rows + 63) / 64;
-  if (need <= stride_ || num_bitsets_ == 0) return;
-  // Regrowing relayouts every bitset, so grow geometrically: a populator
-  // fed chunk by chunk copies each word O(1) times on average.
-  const std::size_t stride = std::max(need, 2 * stride_);
-  WordMapping grown(num_bitsets_ * stride);
-  const std::size_t used = (rows_ + 63) / 64;
-  if (used != 0) {
-    for (std::size_t b = 0; b < num_bitsets_; ++b) {
-      std::memcpy(grown.data() + b * stride, words_.data() + b * stride_,
-                  used * sizeof(std::uint64_t));
-    }
-  }
-  words_ = std::move(grown);
-  stride_ = stride;
+  stride_ = (capacity_rows + 63) / 64;
+  words_ = WordMapping(num_bitsets_ * stride_);
 }
 
 void BitmapIndex::add(const Value* rows, std::size_t nrows) {
-  if (nrows == 0) return;
-  reserve_rows(rows_ + nrows);
+  require(nrows <= capacity() - rows_,
+          "BitmapIndex::add: rows past the index capacity");
   // Per-dimension targets in locals: the word stores below have the type
   // of the size_t members, so the compiler would otherwise reload those
   // members after every store.
@@ -213,28 +196,23 @@ void BitmapIndex::add(const Value* rows, std::size_t nrows) {
     const Value* v = rows + r * d;
     for (const Target& t : targets) {
       const BinId bin = t.grid->bin_of(v[t.column]);
-      // Only a NaN bins past the grid; like the rescan kernels, no CDU
-      // counts it.
+      // Only a NaN bins past the grid; no CDU counts it.
       if (bin < t.grid->num_bins()) t.words[bin * stride + word] |= bit;
     }
   }
   rows_ += nrows;
 }
 
-std::uint64_t BitmapIndex::count(const UnitStore& cdus, std::span<Count> counts,
-                                 std::size_t from_row) const {
+std::uint64_t BitmapIndex::count(const UnitStore& cdus,
+                                 std::span<Count> counts) const {
   require(counts.size() == cdus.size(),
           "BitmapIndex::count: counts size mismatch");
-  if (from_row >= rows_) return 0;
+  if (rows_ == 0) return 0;
   static const AndPopcountFn and_popcount = resolve_and_popcount();
 
-  // Word range of rows [from_row, rows_).  The first word may hold rows
-  // below from_row: they are masked off.  Bits past rows_ are never set.
+  // Bits past rows_ are never set, so whole words are counted.
   const std::size_t k = cdus.k();
-  const std::size_t w0 = from_row / 64;
-  const std::size_t w1 = (rows_ + 63) / 64;
-  const unsigned head_bits = static_cast<unsigned>(from_row % 64);
-  const std::uint64_t head_mask = ~std::uint64_t{0} << head_bits;
+  const std::size_t words = (rows_ + 63) / 64;
 
   // Checked once: every dimension indexed; a bin past its grid holds no
   // row (bin_of never returns it), so that CDU keeps its count.
@@ -257,25 +235,25 @@ std::uint64_t BitmapIndex::count(const UnitStore& cdus, std::span<Count> counts,
   // Word blocks, all CDUs per block: one block's slice of every bitset
   // stays in cache while the CDUs sharing those bitsets sweep it.
   std::vector<const std::uint64_t*> ptrs(k);
-  for (std::size_t b0 = w0; b0 < w1; b0 += kBlockWords) {
-    const std::size_t b1 = std::min(w1, b0 + kBlockWords);
+  for (std::size_t b0 = 0; b0 < words; b0 += kBlockWords) {
+    const std::size_t b1 = std::min(words, b0 + kBlockWords);
     for (std::size_t u = 0; u < cdus.size(); ++u) {
       if (live[u] == 0) continue;
       const auto dims = cdus.dims(u);
       const auto bins = cdus.bins(u);
       for (std::size_t i = 0; i < k; ++i) ptrs[i] = bitset(dims[i], bins[i]);
-      Count c = 0;
-      std::size_t w = b0;
-      if (w == w0 && head_bits != 0) {
-        std::uint64_t x = ptrs[0][w] & head_mask;
-        for (std::size_t i = 1; i < k; ++i) x &= ptrs[i][w];
-        c += static_cast<Count>(std::popcount(x));
-        ++w;
-      }
-      counts[u] += c + and_popcount(ptrs.data(), k, w, b1);
+      counts[u] += and_popcount(ptrs.data(), k, b0, b1);
     }
   }
-  return num_live * (w1 - w0) * k;
+  return num_live * words * k;
+}
+
+void BitmapIndex::clear() {
+  const std::size_t used = (rows_ + 63) / 64;
+  for (std::size_t b = 0; b < num_bitsets_; ++b) {
+    std::memset(words_.data() + b * stride_, 0, used * sizeof(std::uint64_t));
+  }
+  rows_ = 0;
 }
 
 }  // namespace mafia

@@ -15,8 +15,10 @@
 //   * the driver (core/mafia.cpp), once per run and rank, over the rank's
 //     record partition as soon as the grids are known — every level is
 //     then counted from it, with no further data pass;
-//   * UnitPopulator's Bitmap kernel, from its own accumulate() calls, for
-//     callers that count one candidate set over a record stream.
+//   * UnitPopulator, over each batch accumulate() hands it — indexed,
+//     counted and cleared, so its memory is O(batch).  This is run_pmafia's
+//     low-memory regime (one chunked pass per level) and the standalone
+//     callers' way to count one candidate set over a record stream.
 //
 // Memory is bitsets × ⌈rows/64⌉ × 8 bytes in an anonymous mapping of its
 // own, so the pages go back to the OS when the index is destroyed rather
@@ -37,8 +39,7 @@ class BitmapIndex {
  public:
   /// An empty index over every bin of the dimensions `dim_used` marks
   /// nonzero (every dimension when `dim_used` is empty), with room for
-  /// `capacity_rows` rows before add() has to regrow the mapping.  `grids`
-  /// must outlive the index.
+  /// `capacity_rows` rows.  `grids` must outlive the index.
   BitmapIndex(const GridSet& grids, std::size_t capacity_rows,
               std::span<const std::uint8_t> dim_used = {});
 
@@ -49,17 +50,20 @@ class BitmapIndex {
   }
 
   /// Bins `nrows` row-major records (width = grids.num_dims()) and sets
-  /// their bits, as rows rows() .. rows() + nrows - 1.
+  /// their bits, as rows rows() .. rows() + nrows - 1.  The rows must fit
+  /// the capacity.
   void add(const Value* rows, std::size_t nrows);
 
   /// Adds to counts[u], for every CDU u of `cdus`, the number of indexed
-  /// rows at or after `from_row` that lie in u.  Every dimension of `cdus`
-  /// must be indexed.  Returns the number of 64-bit words ANDed.
-  std::uint64_t count(const UnitStore& cdus, std::span<Count> counts,
-                      std::size_t from_row = 0) const;
+  /// rows that lie in u.  Every dimension of `cdus` must be indexed.
+  /// Returns the number of 64-bit words ANDed.
+  std::uint64_t count(const UnitStore& cdus, std::span<Count> counts) const;
 
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t num_bitsets() const { return num_bitsets_; }
+  /// Drops every indexed row, keeping the mapping for the next add().
+  void clear();
+
+  /// Rows the index holds room for.
+  [[nodiscard]] std::size_t capacity() const { return stride_ * 64; }
   /// Bytes currently mapped for the bitsets.
   [[nodiscard]] std::size_t bytes() const { return words_.size() * sizeof(std::uint64_t); }
 
@@ -87,13 +91,12 @@ class BitmapIndex {
   [[nodiscard]] const std::uint64_t* bitset(DimId dim, BinId bin) const {
     return words_.data() + (first_[dim] + bin) * stride_;
   }
-  void reserve_rows(std::size_t rows);
 
   const GridSet* grids_;
   std::vector<DimId> dims_;          // indexed dimensions, ascending
   std::vector<std::size_t> first_;   // dim -> bitset id of its bin 0
   std::size_t num_bitsets_ = 0;
-  std::size_t stride_ = 0;           // words per bitset (row capacity / 64)
+  std::size_t stride_ = 0;           // words per bitset (capacity / 64)
   std::size_t rows_ = 0;
   WordMapping words_;
 };

@@ -165,8 +165,8 @@ JoinBucketIndex::JoinBucketIndex(const UnitStore& dense, JoinRule rule)
   std::vector<std::size_t> boundaries;  // entry indices where a bucket starts
   if (sig_bytes <= sizeof(std::uint64_t)) {
     // Fast path: the signature packs into one integer, (dim, bin) bytes
-    // interleaved most-significant-first — same trick as pack_bin_key, so
-    // key order equals lexicographic signature-byte order.  Sorting
+    // interleaved most-significant-first, so key order equals
+    // lexicographic signature-byte order.  Sorting
     // (key, unit) pairs also sorts units ascending inside each bucket,
     // which is what makes every in-bucket pair (lo, hi) with lo < hi.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;

@@ -29,28 +29,6 @@
 
 namespace mafia {
 
-/// Maximum unit dimensionality whose bin row packs into one 64-bit key
-/// (one byte per bin, see pack_bin_key).
-inline constexpr std::size_t kPackedKeyMaxDims = sizeof(std::uint64_t);
-
-/// Packs a unit's k bin bytes (k <= kPackedKeyMaxDims) into one integer,
-/// bins[0] in the most significant position: ascending key order among
-/// same-k keys equals lexicographic byte order, so a sorted packed-key
-/// array is interchangeable with memcmp-sorted k-byte rows.  The packing
-/// relies on BinId being exactly one byte (the paper's byte-array unit
-/// representation); a wider BinId must use the byte-row fallback.
-static_assert(sizeof(BinId) == 1,
-              "pack_bin_key packs one byte per bin index");
-
-[[nodiscard]] inline std::uint64_t pack_bin_key(const BinId* bins,
-                                                std::size_t k) {
-  std::uint64_t key = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    key = (key << 8) | static_cast<std::uint64_t>(bins[i]);
-  }
-  return key;
-}
-
 class UnitStore {
  public:
   /// Creates an empty store of `k`-dimensional units.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cluster/membership.hpp"
+#include "common/math_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
@@ -22,6 +23,7 @@
 #include "grid/uniform_grid.hpp"
 #include "io/data_source.hpp"
 #include "mp/backend.hpp"
+#include "units/bitmap_index.hpp"
 #include "units/populate.hpp"
 
 namespace mafia {
@@ -183,8 +185,10 @@ TEST(AppendDifferential, BatchSizesBitIdentical) {
 // ---------------------------------------------- kernel/backend/rank matrix
 
 /// One base run's final checkpoint serves every configuration: the
-/// fingerprint deliberately excludes kernels, chunk size, backend, and
-/// rank count, so an append may change all of them relative to the base.
+/// fingerprint deliberately excludes the join kernel, chunk size, memory
+/// budget, backend, and rank count, so an append may change all of them
+/// relative to the base — including a budget one byte below the run index,
+/// which rescans every level's rows in chunks.
 void kernel_matrix_bit_identical(mp::MpBackend backend) {
   const Dataset base = base_data(1200);
   const Dataset batch = same_shape_batch(300);
@@ -202,23 +206,33 @@ void kernel_matrix_bit_identical(mp::MpBackend backend) {
   const MafiaResult full = run_pmafia(all_source, base_options(), 2);
 
   const std::string work = dir.path() + "_work";
-  for (const PopulateKernel pk :
-       {PopulateKernel::Packed, PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
+  for (const bool rescan : {false, true}) {
     for (const JoinKernel jk : {JoinKernel::Bucketed, JoinKernel::Pairwise}) {
       for (const int p : {1, 2, 3, 5, 8}) {
         copy_dir(dir.path(), work);
         MafiaOptions ao = base_options();
-        ao.populate.kernel = pk;
+        if (rescan) {
+          ao.max_cdu_bytes =
+              BitmapIndex::bytes_for(
+                  full.grids.total_bins(),
+                  ceil_div(static_cast<std::size_t>(all.num_records()),
+                           static_cast<std::size_t>(p))) -
+              1;
+          ao.chunk_records = 64;
+        }
         ao.join.kernel = jk;
         ao.mp.backend = backend;
         ao.checkpoint.directory = work;
         ao.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
         const MafiaResult inc = run_pmafia(all_source, ao, p);
-        SCOPED_TRACE("populate=" + std::to_string(static_cast<int>(pk)) +
+        SCOPED_TRACE("rescan=" + std::to_string(rescan) +
                      " join=" + std::to_string(static_cast<int>(jk)) +
                      " p=" + std::to_string(p));
         EXPECT_TRUE(inc.append.performed);
         expect_bit_identical(inc, full, all_source);
+        for (const LevelTrace& t : inc.levels) {
+          EXPECT_EQ(t.populate_rescan, rescan) << "level " << t.level;
+        }
       }
     }
   }
@@ -557,13 +571,12 @@ TEST(AppendOverflow, PopulateSeedAtBoundaryIsExactAndPastItThrows) {
     EXPECT_THROW(pop.seed_counts(base), Error);
   }
   {
-    // The bitmap kernel shares the additive accumulator: pending rows are
-    // finalized before the guarded add, so the same boundary check holds.
-    PopulateConfig cfg;
-    cfg.kernel = PopulateKernel::Bitmap;
-    UnitPopulator pop(grids, cdus, cfg);
+    // Counting from a prebuilt index shares the additive accumulator, so
+    // the same boundary check holds.
     const Value row[2] = {1.0f, 1.0f};
-    pop.accumulate(row, 1);
+    BitmapIndex index(grids, 1);
+    index.add(row, 1);
+    UnitPopulator pop(grids, cdus, {}, &index);
     EXPECT_THROW(pop.seed_counts(base), Error);
   }
 }

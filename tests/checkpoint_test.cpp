@@ -10,10 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "common/math_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
 #include "io/data_source.hpp"
+#include "units/bitmap_index.hpp"
 
 namespace mafia {
 namespace {
@@ -81,13 +83,13 @@ LevelRecord sample_record(std::uint64_t level) {
   rec.cdus = UnitStore(2);
   rec.cdus.push(d01, b01);
   rec.cdus.push(d01, b11);
-  rec.parents = {{0, 1}, {2, 3}};
+  rec.parents = {{0, 1}, {1, 0}};
   rec.raw_to_unique = {0, 1};
   rec.pending_raw_count = 12;
   rec.pending_join = JoinStats{4, 9, 3, 1};
   rec.pending_join_kernel = 2;
   rec.counts = {40, 7};
-  rec.flags = {1, 0};
+  rec.flags = {1, 1};
   rec.unjoined_dus = 2;
   rec.unjoined_units = {"{d0:b2}", "{d4:b7}"};
   return rec;
@@ -304,6 +306,123 @@ TEST(CheckpointFormat, FinalFileHoldsEveryRecordOnce) {
   }
 }
 
+/// The state stored in the checkpoint file at `path`.
+CheckpointState read_checkpoint(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  return deserialize_checkpoint(bytes.data(), bytes.size());
+}
+
+/// Dense units of a level record: its set flags.
+std::size_t dense_units(const LevelRecord& rec) {
+  return static_cast<std::size_t>(
+      std::count_if(rec.flags.begin(), rec.flags.end(),
+                    [](std::uint8_t f) { return f != 0; }));
+}
+
+/// Breaks one replay index of `rec`, a record past level 1 whose previous
+/// level has `prev_dense` dense units, in one of kReplayIndexBreaks ways
+/// no writer produces: a far-out parent (the replay's marked[] write), a
+/// parent just past the dense units, a dedup entry past the candidates
+/// (the replay's flags[] read), a dedup map one entry short.
+constexpr int kReplayIndexBreaks = 4;
+void break_replay_index(LevelRecord& rec, std::size_t prev_dense, int how) {
+  switch (how) {
+    case 0:
+      rec.parents.front().first = 0x7fffffffu;
+      break;
+    case 1:
+      rec.parents.back().second = static_cast<std::uint32_t>(prev_dense);
+      break;
+    case 2:
+      rec.raw_to_unique.front() = static_cast<std::uint32_t>(rec.cdus.size());
+      break;
+    default:
+      rec.raw_to_unique.pop_back();
+      break;
+  }
+}
+
+TEST(CheckpointFormat, FinalFileWithOutOfRangeReplayIndicesIsDiscarded) {
+  // A real final checkpoint with one replay index broken and the CRC
+  // recomputed by the writer: the CRC cannot tell, so the loader must
+  // discard the file, and an append on it is an input error instead of an
+  // out-of-range access in the replay.
+  ScratchDir dir("mafia_ckpt_crafted_final");
+  const Dataset base = planted_data();
+  MafiaOptions options = base_options();
+  options.checkpoint.directory = dir.path();
+  {
+    InMemorySource base_source(base);
+    (void)run_pmafia(base_source, options, 2);
+  }
+  const CheckpointScan real = load_final_checkpoint(dir.path(), 0);
+  ASSERT_TRUE(real.state.has_value());
+  ASSERT_GE(real.state->records.size(), 2u);
+  ASSERT_FALSE(real.state->records[1].parents.empty());
+  const std::size_t prev_dense = dense_units(real.state->records[0]);
+
+  Dataset all(base.num_dims());
+  all.append_rows(base);
+  all.append_rows(planted_data());
+  InMemorySource all_source(all);
+  MafiaOptions append = options;
+  append.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
+
+  for (int how = 0; how < kReplayIndexBreaks; ++how) {
+    CheckpointState crafted = *real.state;
+    break_replay_index(crafted.records[1], prev_dense, how);
+    write_final_checkpoint(dir.path(), crafted);
+    const CheckpointScan scan = load_final_checkpoint(dir.path(), 0);
+    EXPECT_FALSE(scan.state.has_value()) << "break " << how;
+    EXPECT_EQ(scan.discarded, 1u) << "break " << how;
+    EXPECT_THROW((void)run_pmafia(all_source, append, 2), InputError)
+        << "break " << how;
+  }
+}
+
+TEST(CheckpointFormat, LevelFileWithOutOfRangeReplayIndicesEndsTheChain) {
+  // The same breaks in a real level file (level 2's record, CRC
+  // recomputed): the chain ends before it, and a resume reruns from level
+  // 2 and reproduces the uninterrupted run.
+  ScratchDir dir("mafia_ckpt_crafted_level");
+  const Dataset data = planted_data();
+  InMemorySource source(data);
+  MafiaOptions options = base_options();
+  options.checkpoint.directory = dir.path();
+  const MafiaResult baseline = run_pmafia(source, options, 2);
+  std::size_t level_files = 0;
+  while (fs::exists(checkpoint_file_path(dir.path(), level_files + 2))) {
+    ++level_files;
+  }
+  ASSERT_GE(level_files, 2u);
+  const CheckpointState first =
+      read_checkpoint(checkpoint_file_path(dir.path(), 2));
+  const CheckpointState real =
+      read_checkpoint(checkpoint_file_path(dir.path(), 3));
+  ASSERT_EQ(real.records.size(), 1u);
+  ASSERT_FALSE(real.records[0].parents.empty());
+
+  MafiaOptions resume = options;
+  resume.checkpoint.resume = true;
+  for (int how = 0; how < kReplayIndexBreaks; ++how) {
+    CheckpointState crafted = real;
+    break_replay_index(crafted.records[0], dense_units(first.records[0]), how);
+    write_checkpoint_file(dir.path(), crafted);
+    const CheckpointScan scan =
+        load_latest_checkpoint(dir.path(), real.fingerprint);
+    ASSERT_TRUE(scan.state.has_value()) << "break " << how;
+    EXPECT_EQ(scan.state->records.size(), 1u) << "break " << how;
+    EXPECT_EQ(scan.discarded, level_files - 1) << "break " << how;
+
+    const MafiaResult resumed = run_pmafia(source, resume, 2);
+    EXPECT_TRUE(resumed.recovery.resumed) << "break " << how;
+    EXPECT_EQ(resumed.recovery.resume_level, 2u) << "break " << how;
+    expect_same_result(resumed, baseline);
+  }
+}
+
 TEST(CheckpointFormat, FingerprintTracksResultAffectingOptionsOnly) {
   const MafiaOptions base = base_options();
   const std::uint64_t fp = checkpoint_fingerprint(base, 4000, 6);
@@ -317,13 +436,14 @@ TEST(CheckpointFormat, FingerprintTracksResultAffectingOptionsOnly) {
   EXPECT_NE(checkpoint_fingerprint(base, 4000, 7), fp);
 
   // Knobs the determinism suite proves result-invariant may change across
-  // a resume: chunk size, populate tuning.
+  // a resume: chunk size, and the memory budget that picks the populate
+  // regime.
   MafiaOptions chunk = base;
   chunk.chunk_records = 128;
   EXPECT_EQ(checkpoint_fingerprint(chunk, 4000, 6), fp);
-  MafiaOptions kernel = base;
-  kernel.populate.kernel = PopulateKernel::Memcmp;
-  EXPECT_EQ(checkpoint_fingerprint(kernel, 4000, 6), fp);
+  MafiaOptions budget = base;
+  budget.max_cdu_bytes = 4096;
+  EXPECT_EQ(checkpoint_fingerprint(budget, 4000, 6), fp);
 }
 
 /// Kill-at-every-op sweep on one backend.  On the process backend every
@@ -467,17 +587,20 @@ TEST(CheckpointRestart, OptionChangeInvalidatesOldCheckpoints) {
 TEST(CheckpointRestart, ResumeMayChangeChunkSizeAndKernel)
 {
   // The fingerprint deliberately excludes result-invariant knobs; a resume
-  // with a different chunk size and populate kernel — including the bitmap
-  // kernel, whose execution model shares nothing with the lookup kernels —
-  // still reproduces the baseline bit-identically.
+  // with a different chunk size and populate regime — a budget one byte
+  // below the run index, which rescans every level, or none — still
+  // reproduces the baseline bit-identically.
   const Dataset data = planted_data();
   InMemorySource source(data);
   const MafiaResult baseline = run_pmafia(source, base_options(), 2);
+  const int p = 3;  // p changes too
+  const std::size_t run_index_bytes = BitmapIndex::bytes_for(
+      baseline.grids.total_bins(),
+      ceil_div(static_cast<std::size_t>(data.num_records()),
+               static_cast<std::size_t>(p)));
 
-  for (const PopulateKernel kernel :
-       {PopulateKernel::Packed, PopulateKernel::Memcmp, PopulateKernel::Bitmap}) {
-    ScratchDir dir("mafia_ckpt_knobs_" +
-                   std::to_string(static_cast<int>(kernel)));
+  for (const std::size_t budget : {std::size_t{0}, run_index_bytes - 1}) {
+    ScratchDir dir("mafia_ckpt_knobs_" + std::to_string(budget));
     MafiaOptions faulted = base_options();
     faulted.checkpoint.directory = dir.path();
     faulted.fault_plan.kill(/*rank=*/0, /*op=*/6);
@@ -490,9 +613,12 @@ TEST(CheckpointRestart, ResumeMayChangeChunkSizeAndKernel)
     resume.checkpoint.directory = dir.path();
     resume.checkpoint.resume = true;
     resume.chunk_records = 256;
-    resume.populate.kernel = kernel;
-    const MafiaResult resumed = run_pmafia(source, resume, 3);  // p changes too
+    resume.max_cdu_bytes = budget;
+    const MafiaResult resumed = run_pmafia(source, resume, p);
     expect_same_result(resumed, baseline);
+    for (const LevelTrace& t : resumed.levels) {
+      EXPECT_EQ(t.populate_rescan, budget != 0) << "level " << t.level;
+    }
   }
 }
 

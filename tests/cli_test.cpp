@@ -229,8 +229,8 @@ TEST_F(CliPipeline, ReportJsonIsValidAndComplete) {
 }
 
 TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
-  // --populate-kernel bitmap through the whole driver: same clusters as the
-  // default kernel, and the report records the kernel per level plus the
+  // The bitmap run index through the whole pipeline: the planted cluster,
+  // and the report records the populate regime per level plus the
   // bitmap-index footprint and the unjoined-DU fields.
   const std::string report = temp("mafia_cli_bitmap_report.json");
   ASSERT_EQ(run_cli("generate --out " + data_ +
@@ -239,7 +239,7 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
             0);
   auto [status, out] = run_cli("cluster --data " + data_ +
                                " --ranks 3 --domain-lo 0 --domain-hi 100"
-                               " --populate-kernel bitmap --report-json " +
+                               " --report-json " +
                                report);
   ASSERT_EQ(status, 0) << out;
   EXPECT_NE(out.find("subspace {1,4,6}"), std::string::npos) << out;
@@ -249,7 +249,7 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
   EXPECT_EQ(doc.at("schema").string, "pmafia-report-v1");
   ASSERT_FALSE(doc.at("levels").array.empty());
   for (const auto& level : doc.at("levels").array) {
-    EXPECT_EQ(level.at("populate_kernel").string, "bitmap");
+    EXPECT_EQ(level.at("populate_kernel").string, "index");
     EXPECT_TRUE(level.has("bitmap_bytes"));
     EXPECT_TRUE(level.has("unjoined_dus"));
     ASSERT_TRUE(level.at("unjoined_units").is_array());
@@ -260,6 +260,48 @@ TEST_F(CliPipeline, BitmapPopulateKernelEndToEnd) {
   EXPECT_GT(doc.at("populate_kernel").at("bitmap_bytes").number, 0.0);
   EXPECT_GT(doc.at("populate_kernel").at("bitmap_words_anded").number, 0.0);
   EXPECT_TRUE(doc.has("unjoined_dus"));
+}
+
+TEST_F(CliPipeline, BudgetBelowTheRunIndexRescansEveryLevel) {
+  // --max-cdu-bytes one byte below the run index the unbudgeted report
+  // shows: the run rescans every level in --chunk batches instead of
+  // failing, and saves a byte-identical model.
+  const std::string report = temp("mafia_cli_index_report.json");
+  const std::string rescan_report = temp("mafia_cli_rescan_report.json");
+  const std::string model = temp("mafia_cli_index_model.txt");
+  const std::string rescan_model = temp("mafia_cli_rescan_model.txt");
+  ASSERT_EQ(run_cli("generate --out " + data_ +
+                    " --dims 8 --records 20000 --seed 7 --cluster 1,4,6:30:45")
+                .first,
+            0);
+  const std::string common =
+      "cluster --data " + data_ + " --ranks 2 --domain-lo 0 --domain-hi 100";
+  auto [status, out] =
+      run_cli(common + " --report-json " + report + " --save " + model);
+  ASSERT_EQ(status, 0) << out;
+  const mafia::JsonValue doc = mafia::json_parse(slurp(report));
+  const auto budget = static_cast<long long>(
+      doc.at("populate_kernel").at("bitmap_bytes").number) - 1;
+
+  auto [rescan_status, rescan_out] = run_cli(
+      common + " --chunk 1024 --max-cdu-bytes " + std::to_string(budget) +
+      " --report-json " + rescan_report + " --save " + rescan_model);
+  ASSERT_EQ(rescan_status, 0) << rescan_out;
+  const mafia::JsonValue rescan_doc = mafia::json_parse(slurp(rescan_report));
+  const auto& levels = doc.at("levels").array;
+  const auto& rescan_levels = rescan_doc.at("levels").array;
+  ASSERT_EQ(levels.size(), rescan_levels.size());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    EXPECT_EQ(rescan_levels[l].at("populate_kernel").string, "rescan");
+    EXPECT_EQ(rescan_levels[l].at("count_checksum").string,
+              levels[l].at("count_checksum").string);
+  }
+  EXPECT_LE(rescan_doc.at("populate_kernel").at("bitmap_bytes").number,
+            static_cast<double>(budget));
+  EXPECT_EQ(slurp(rescan_model), slurp(model));
+  for (const std::string& f : {report, rescan_report, model, rescan_model}) {
+    std::remove(f.c_str());
+  }
 }
 
 TEST_F(CliPipeline, EmptyRankPartitionsProduceValidReport) {
@@ -405,12 +447,18 @@ TEST(CliErrors, UnknownPopulateKernelFails) {
                     " --seed 3")
                 .first,
             0);
-  auto [status, out] =
-      run_cli("cluster --data " + data + " --populate-kernel simd");
-  EXPECT_EQ(status, 2) << out;
-  EXPECT_NE(out.find("must be auto, packed, memcmp, or bitmap"),
-            std::string::npos)
-      << out;
+  // Every flag the CLI does not read is a usage error naming it: a
+  // removed option, and a typo that would otherwise run without a budget.
+  for (const std::string& flag :
+       {std::string("--populate-kernel simd"),
+        std::string("--populate-kernel packed"),
+        std::string("--max-cdu-byte 16")}) {
+    auto [status, out] = run_cli("cluster --data " + data + " " + flag);
+    EXPECT_EQ(status, 2) << flag << ": " << out;
+    EXPECT_NE(out.find("unknown flag " + flag.substr(0, flag.find(' '))),
+              std::string::npos)
+        << out;
+  }
   std::remove(data.c_str());
 }
 

@@ -13,11 +13,13 @@
 #include <string>
 #include <tuple>
 
+#include "common/math_util.hpp"
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
 #include "io/data_source.hpp"
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
+#include "units/bitmap_index.hpp"
 
 namespace mafia {
 namespace {
@@ -251,69 +253,91 @@ TEST(Invariance, SpmdDeterminismSweepAcrossRankCounts) {
   }
 }
 
+/// `options` with a budget one byte below the run index of `grids` over a
+/// worst-case partition of `records` at `p` ranks, so the run rescans
+/// every level in chunk_records batches instead.
+MafiaOptions rescan_options(MafiaOptions options, const GridSet& grids,
+                            RecordIndex records, int p) {
+  options.max_cdu_bytes =
+      BitmapIndex::bytes_for(grids.total_bins(),
+                             ceil_div(static_cast<std::size_t>(records),
+                                      static_cast<std::size_t>(p))) -
+      1;
+  return options;
+}
+
 TEST(Invariance, PopulateKernelSelectionDoesNotChangeResults) {
-  // Forcing the memcmp fallback, the bitmap index kernel, and odd block
-  // sizes must all reproduce the packed-kernel results exactly, through
-  // the full driver.
+  // Counting from the run index and the budget-forced per-level rescan,
+  // at odd chunk sizes, must all reproduce the run-index results exactly,
+  // through run_pmafia.
   const Dataset data = invariance_data();
   InMemorySource source(data);
   MafiaOptions reference;
   reference.fixed_domain = {{0.0f, 100.0f}};
-  reference.populate.kernel = PopulateKernel::Packed;
   const MafiaResult expect = run_mafia(source, reference);
 
-  for (const PopulateKernel kernel :
-       {PopulateKernel::Packed, PopulateKernel::Memcmp,
-        PopulateKernel::Bitmap}) {
-    for (const std::size_t block : {std::size_t{1}, std::size_t{37},
+  for (const bool rescan : {false, true}) {
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{37},
                                     std::size_t{4096}}) {
       MafiaOptions options = reference;
-      options.populate.kernel = kernel;
-      options.populate.block_records = block;
+      if (rescan) {
+        options = rescan_options(options, expect.grids, data.num_records(), 1);
+      }
+      options.chunk_records = chunk;
       const MafiaResult got = run_mafia(source, options);
       EXPECT_EQ(signature(expect), signature(got))
-          << "kernel=" << static_cast<int>(kernel) << " block=" << block;
+          << "rescan=" << rescan << " chunk=" << chunk;
       ASSERT_EQ(expect.levels.size(), got.levels.size());
       for (std::size_t l = 0; l < expect.levels.size(); ++l) {
         EXPECT_EQ(expect.levels[l].count_checksum,
                   got.levels[l].count_checksum)
-            << "kernel=" << static_cast<int>(kernel) << " block=" << block
+            << "rescan=" << rescan << " chunk=" << chunk
             << " level=" << expect.levels[l].level;
+        EXPECT_EQ(got.levels[l].populate_rescan, rescan);
       }
     }
   }
 }
 
 TEST(Invariance, BitmapKernelIsRankInvariant) {
-  // The bitmap kernel's per-rank bit ranges follow the SPMD record
-  // partition, so its AND-reduction runs over different local row counts at
-  // every p.  Counts, cluster signatures, and the unjoined-DU report must
-  // still be bit-identical to the serial packed-kernel reference across the
-  // rank sweep.
+  // The index's per-rank bit ranges follow the SPMD record partition, so
+  // its AND-reduction runs over different local row counts at every p —
+  // and under the rescan, over different chunk sequences.  Counts, cluster
+  // signatures, and the unjoined-DU report must still be bit-identical to
+  // the serial run-index reference across the rank sweep.
   const Dataset data = invariance_data();
   InMemorySource source(data);
   MafiaOptions reference;
   reference.fixed_domain = {{0.0f, 100.0f}};
   reference.tau = 2;
-  reference.populate.kernel = PopulateKernel::Packed;
   const MafiaResult expect = run_pmafia(source, reference, 1);
 
-  MafiaOptions options = reference;
-  options.populate.kernel = PopulateKernel::Bitmap;
-  for (const int p : {1, 2, 3, 5, 8}) {
-    const MafiaResult got = run_pmafia(source, options, p);
-    EXPECT_EQ(signature(expect), signature(got)) << "p=" << p;
-    ASSERT_EQ(expect.levels.size(), got.levels.size()) << "p=" << p;
-    for (std::size_t l = 0; l < expect.levels.size(); ++l) {
-      EXPECT_EQ(expect.levels[l].count_checksum, got.levels[l].count_checksum)
-          << "p=" << p << " level=" << expect.levels[l].level;
-      EXPECT_EQ(expect.levels[l].unjoined_dus, got.levels[l].unjoined_dus)
-          << "p=" << p << " level=" << expect.levels[l].level;
-      EXPECT_EQ(expect.levels[l].unjoined_units, got.levels[l].unjoined_units)
-          << "p=" << p << " level=" << expect.levels[l].level;
+  for (const bool rescan : {false, true}) {
+    for (const int p : {1, 2, 3, 5, 8}) {
+      MafiaOptions options = reference;
+      if (rescan) {
+        options = rescan_options(options, expect.grids, data.num_records(), p);
+      }
+      options.chunk_records = 512;
+      const MafiaResult got = run_pmafia(source, options, p);
+      EXPECT_EQ(signature(expect), signature(got))
+          << "rescan=" << rescan << " p=" << p;
+      ASSERT_EQ(expect.levels.size(), got.levels.size()) << "p=" << p;
+      for (std::size_t l = 0; l < expect.levels.size(); ++l) {
+        EXPECT_EQ(expect.levels[l].count_checksum, got.levels[l].count_checksum)
+            << "rescan=" << rescan << " p=" << p
+            << " level=" << expect.levels[l].level;
+        EXPECT_EQ(expect.levels[l].unjoined_dus, got.levels[l].unjoined_dus)
+            << "rescan=" << rescan << " p=" << p
+            << " level=" << expect.levels[l].level;
+        EXPECT_EQ(expect.levels[l].unjoined_units, got.levels[l].unjoined_units)
+            << "rescan=" << rescan << " p=" << p
+            << " level=" << expect.levels[l].level;
+        EXPECT_EQ(got.levels[l].populate_rescan, rescan);
+      }
+      EXPECT_EQ(expect.total_unjoined_dus(), got.total_unjoined_dus())
+          << "rescan=" << rescan << " p=" << p;
     }
-    EXPECT_EQ(expect.total_unjoined_dus(), got.total_unjoined_dus())
-        << "p=" << p;
   }
 }
 

@@ -14,12 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "common/math_util.hpp"
 #include "core/checkpoint.hpp"
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
 #include "datagen/workloads.hpp"
 #include "io/data_source.hpp"
 #include "io/record_file.hpp"
+#include "units/bitmap_index.hpp"
 
 namespace mafia {
 namespace {
@@ -519,6 +521,41 @@ TEST(RecordPasses, FreshRunScansForTheHistogramAndTheIndexOnly) {
     const MafiaResult r = run_pmafia(source, default_options(), p);
     ASSERT_GE(r.levels.size(), 3u) << "p=" << p;
     EXPECT_EQ(source.profile(0, n), (Profile{{2, n}})) << "p=" << p;
+    source.reset();
+  }
+}
+
+TEST(RecordPasses, BudgetBelowTheRunIndexRescansOncePerLevel) {
+  // A budget one byte below the run index picks Algorithm 2's out-of-core
+  // regime instead of failing: one pass builds the histogram, then every
+  // level rescans the rows in chunks through an index of one chunk — and
+  // the result equals the unbudgeted run bit for bit.
+  const Dataset data = generate(record_pass_config(6000, 3));
+  InMemorySource inner(data);
+  CountingSource source(inner);
+  const RecordIndex n = data.num_records();
+  for (const int p : {1, 2, 3}) {
+    const MafiaResult indexed = run_pmafia(inner, default_options(), p);
+    MafiaOptions opts = default_options();
+    opts.max_cdu_bytes =
+        BitmapIndex::bytes_for(indexed.grids.total_bins(),
+                               ceil_div(static_cast<std::size_t>(n),
+                                        static_cast<std::size_t>(p))) -
+        1;
+    opts.chunk_records = 256;
+    const MafiaResult r = run_pmafia(source, opts, p);
+    ASSERT_GE(r.levels.size(), 3u) << "p=" << p;
+    const int passes = 1 + static_cast<int>(r.levels.size());
+    EXPECT_EQ(source.profile(0, n), (Profile{{passes, n}})) << "p=" << p;
+    EXPECT_EQ(cluster_signature(r), cluster_signature(indexed)) << "p=" << p;
+    ASSERT_EQ(r.levels.size(), indexed.levels.size()) << "p=" << p;
+    for (std::size_t l = 0; l < r.levels.size(); ++l) {
+      EXPECT_TRUE(r.levels[l].populate_rescan) << "p=" << p;
+      EXPECT_EQ(r.levels[l].ncdu, indexed.levels[l].ncdu) << "p=" << p;
+      EXPECT_EQ(r.levels[l].ndu, indexed.levels[l].ndu) << "p=" << p;
+      EXPECT_EQ(r.levels[l].count_checksum, indexed.levels[l].count_checksum)
+          << "p=" << p << " level=" << r.levels[l].level;
+    }
     source.reset();
   }
 }

@@ -1,16 +1,7 @@
-// Fuzz tests for CDU population: the production kernels (packed sorted,
-// packed hash, memcmp fallback) against the naive reference oracle
-// (tests/populate_oracle.hpp), over randomized grids, candidates, and
-// records.
-//
-// Regression note: the populator's memcmp-based row sort/search once used a
-// length of `k` elements where bytes were required.  With BinId = uint8_t
-// the two coincide, so the fuzz suite could not catch it; the comparison
-// length is now spelled `k * sizeof(BinId)` and populate.cpp static_asserts
-// the row-layout contract (no padding bits) so a wider BinId fails to
-// compile rather than silently truncating comparisons.  These randomized
-// instances (multi-bin rows, duplicate-prefix candidates) are the tests
-// that would break first if the byte width regressed.
+// Fuzz tests for CDU population: the populator in both of its modes
+// (prebuilt index, per-batch index) against the naive reference oracle
+// (tests/populate_oracle.hpp), over randomized grids, candidates, records
+// and batch splits.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -70,22 +61,16 @@ TEST_P(PopulateFuzz, MatchesOracleOnRandomInstances) {
     v = static_cast<Value>(uniform_real(rng, -10.0, 110.0));
   }
 
-  UnitPopulator pop(grids, cdus);
-  pop.accumulate(rows.data(), nrows);
-  const auto expected = oracle_counts(grids, cdus, rows.data(), nrows);
-  ASSERT_EQ(pop.counts().size(), expected.size());
-  for (std::size_t u = 0; u < expected.size(); ++u) {
-    EXPECT_EQ(pop.counts()[u], expected[u]) << "cdu " << cdus.to_string(u);
-  }
+  expect_both_modes_match_oracle(grids, cdus, rows,
+                                 {nrows, 1 + uniform_index(rng, nrows)});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PopulateFuzz,
                          ::testing::Range<std::uint64_t>(1, 25));
 
-// Packed-key path fuzz: arity mixes straddling the k = 8 fast-path
-// boundary (k in 6..10 crosses packed -> memcmp fallback), with random
-// block sizes and hash thresholds, each instance run under every explicit
-// kernel selection and compared count-for-count against the oracle.
+// Wide-unit fuzz: arities 6..10 (ANDing up to ten bitsets per unit), each
+// instance counted in both modes at random batch splits and compared
+// count-for-count against the oracle.
 class PackedKeyFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
@@ -101,24 +86,9 @@ TEST_P(PackedKeyFuzz, StraddlesPackedBoundaryAgainstOracle) {
   for (auto& v : rows) {
     v = static_cast<Value>(uniform_real(rng, -10.0, 110.0));
   }
-  const auto expected = oracle_counts(grids, cdus, rows.data(), nrows);
-
-  for (const PopulateKernel kernel :
-       {PopulateKernel::Auto, PopulateKernel::Packed, PopulateKernel::Memcmp}) {
-    PopulateConfig cfg;
-    cfg.kernel = kernel;
-    cfg.block_records = 1 + uniform_index(rng, 512);
-    cfg.hash_min_cdus = 1 + uniform_index(rng, 2 * ncdu);
-    UnitPopulator pop(grids, cdus, cfg);
-    pop.accumulate(rows.data(), nrows);
-    ASSERT_EQ(pop.counts().size(), expected.size());
-    for (std::size_t u = 0; u < expected.size(); ++u) {
-      ASSERT_EQ(pop.counts()[u], expected[u])
-          << "cdu " << cdus.to_string(u) << " k=" << k
-          << " kernel=" << static_cast<int>(kernel)
-          << " block=" << cfg.block_records;
-    }
-  }
+  expect_both_modes_match_oracle(
+      grids, cdus, rows,
+      {1 + uniform_index(rng, 512), 1 + uniform_index(rng, 64)});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackedKeyFuzz,

@@ -1,17 +1,17 @@
-// Oracle-differential proof of the populate kernels.
+// Oracle-differential proof of the populate kernel.
 //
-// Every production lookup kernel (packed/sorted, packed/hash, memcmp
-// fallback) is driven over the same instances as the naive reference
-// oracle (tests/populate_oracle.hpp) and must produce identical counts.
-// The instances cover the kernel's adversarial surface explicitly — k = 1,
-// the k = 8/9 packed-key boundary, a 256-bin dimension (full BinId range),
-// duplicate bin rows across and within subspaces, records outside every
-// CDU — plus randomized differential sweeps over datagen workloads with
-// planted subspace clusters.
+// The populator is driven in both of its modes — counting from a prebuilt
+// bitmap index, and indexing, counting and clearing each accumulate()
+// batch on its own — over the same instances as the naive reference
+// oracle (tests/populate_oracle.hpp), at several batch splits, and must
+// produce identical counts.  The instances cover the adversarial surface
+// explicitly — k = 1, wide units (k = 8/9), a 256-bin dimension (full
+// BinId range), duplicate bin rows across and within subspaces, records
+// outside every CDU — plus randomized differential sweeps over datagen
+// workloads with planted subspace clusters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "datagen/generator.hpp"
@@ -24,50 +24,13 @@
 namespace mafia {
 namespace {
 
-/// Kernel/block/table configurations every differential case runs under:
-/// every kernel, block sizes straddling the record counts (1 record, odd,
-/// power of two, larger than the data), and hash thresholds forcing the
-/// open-addressing table on and off.
-std::vector<PopulateConfig> kernel_matrix() {
-  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
-  return {
-      {2048, PopulateKernel::Auto, 48},     // production default: bitmap index
-      {1, PopulateKernel::Auto, 48},        // (the index ignores block size)
-      {2048, PopulateKernel::Packed, 48},   // packed rescan, default knobs
-      {1, PopulateKernel::Packed, 48},      // single-record blocks
-      {3, PopulateKernel::Packed, 1},       // odd blocks, hash table always
-      {64, PopulateKernel::Packed, kNever}, // sorted-array search always
-      {2048, PopulateKernel::Memcmp, 48},   // forced byte-row fallback
-      {7, PopulateKernel::Memcmp, 48},
-      {2048, PopulateKernel::Bitmap, 48},   // bitmap index, large blocks
-      {3, PopulateKernel::Bitmap, 48},      // bitmap index, odd tiny blocks
-  };
-}
-
-/// Runs every kernel configuration over the instance (splitting the rows
-/// into two accumulate calls to exercise chunk boundaries) and asserts
-/// count-exact agreement with the oracle.
-void expect_all_kernels_match_oracle(const GridSet& grids,
-                                     const UnitStore& cdus,
-                                     const std::vector<Value>& rows) {
-  const std::size_t d = grids.num_dims();
-  const std::size_t nrows = rows.size() / d;
-  const std::vector<Count> expected =
-      oracle_counts(grids, cdus, rows.data(), nrows);
-
-  for (const PopulateConfig& cfg : kernel_matrix()) {
-    UnitPopulator pop(grids, cdus, cfg);
-    const std::size_t split = nrows / 3;
-    pop.accumulate(rows.data(), split);
-    pop.accumulate(rows.data() + split * d, nrows - split);
-    ASSERT_EQ(pop.counts().size(), expected.size());
-    for (std::size_t u = 0; u < expected.size(); ++u) {
-      ASSERT_EQ(pop.counts()[u], expected[u])
-          << "cdu " << cdus.to_string(u) << " block=" << cfg.block_records
-          << " kernel=" << static_cast<int>(cfg.kernel)
-          << " hash_min=" << cfg.hash_min_cdus;
-    }
-  }
+/// Checks the instance in both populator modes, with accumulate() fed one
+/// record at a time, odd batches, exactly one 64-bit word, one row past
+/// it, and one batch larger than any instance.
+void expect_oracle_counts(const GridSet& grids, const UnitStore& cdus,
+                          const std::vector<Value>& rows) {
+  expect_both_modes_match_oracle(grids, cdus, rows,
+                                 {1, 3, 37, 64, 65, std::size_t{1} << 20});
 }
 
 /// Uniform grids over [0, 100] with the given bins per dimension.
@@ -92,29 +55,28 @@ TEST(PopulateOracle, SingleDimensionCandidates) {
   IcgRandom rng(101);
   const GridSet grids = uniform_grids(6, 10);
   const UnitStore cdus = random_cdus(rng, grids, 1, 40);
-  expect_all_kernels_match_oracle(grids, cdus, random_rows(rng, 700, 6));
+  expect_oracle_counts(grids, cdus, random_rows(rng, 700, 6));
 }
 
 TEST(PopulateOracle, PackedKeyBoundaryKEight) {
-  // k = 8: the widest unit that still packs into one 64-bit key.
+  // k = 8: eight bitsets ANDed per unit.
   IcgRandom rng(102);
   const GridSet grids = uniform_grids(12, 8);
   const UnitStore cdus = random_cdus(rng, grids, 8, 120);
-  expect_all_kernels_match_oracle(grids, cdus, random_rows(rng, 600, 12));
+  expect_oracle_counts(grids, cdus, random_rows(rng, 600, 12));
 }
 
 TEST(PopulateOracle, PackedKeyBoundaryKNine) {
-  // k = 9: one past the packed-key limit — every kernel selection must
-  // agree because the packed path silently falls back to memcmp rows.
+  // k = 9: nine bitsets ANDed per unit; the index handles any k.
   IcgRandom rng(103);
   const GridSet grids = uniform_grids(12, 8);
   const UnitStore cdus = random_cdus(rng, grids, 9, 120);
-  expect_all_kernels_match_oracle(grids, cdus, random_rows(rng, 600, 12));
+  expect_oracle_counts(grids, cdus, random_rows(rng, 600, 12));
 }
 
 TEST(PopulateOracle, FullBinIdRangeIn256BinDimension) {
   // One dimension at the BinId limit (256 bins): bin indices occupy the
-  // full byte range, so any packing arithmetic that loses high bits or
+  // full byte range, so any bitset addressing that loses high bits or
   // sign-extends 0x80.. bytes shows up as count drift.
   IcgRandom rng(104);
   GridSet grids;
@@ -136,13 +98,13 @@ TEST(PopulateOracle, FullBinIdRangeIn256BinDimension) {
   UnitStore all(2);
   all.append(cdus);
   all.append(extra);
-  expect_all_kernels_match_oracle(grids, all, random_rows(rng, 2000, 3));
+  expect_oracle_counts(grids, all, random_rows(rng, 2000, 3));
 }
 
 TEST(PopulateOracle, DuplicateBinRowsAcrossSubspaces) {
-  // The same bin tuple planted in several distinct dimension sets: packed
-  // keys collide numerically across subspaces, so any state shared between
-  // subspace sweeps would miscount.
+  // The same bin tuple planted in several distinct dimension sets: each
+  // must AND its own dimensions' bitsets, so any state shared between
+  // subspaces would miscount.
   IcgRandom rng(105);
   const GridSet grids = uniform_grids(8, 10);
   UnitStore cdus(3);
@@ -155,14 +117,13 @@ TEST(PopulateOracle, DuplicateBinRowsAcrossSubspaces) {
   UnitStore all(3);
   all.append(cdus);
   all.append(extra);
-  expect_all_kernels_match_oracle(grids, all, random_rows(rng, 1500, 8));
+  expect_oracle_counts(grids, all, random_rows(rng, 1500, 8));
 }
 
 TEST(PopulateOracle, DuplicateCandidatesWithinASubspace) {
   // Identical CDUs repeated in one subspace (dedup normally removes these;
   // the counting contract must hold regardless): every duplicate row gets
-  // the full count, in every kernel — including the hash table, whose
-  // slots point at the first row of an equal run.
+  // the full count, in both modes.
   IcgRandom rng(106);
   const GridSet grids = uniform_grids(5, 10);
   UnitStore cdus(2);
@@ -177,7 +138,7 @@ TEST(PopulateOracle, DuplicateCandidatesWithinASubspace) {
   UnitStore all(2);
   all.append(cdus);
   all.append(extra);
-  expect_all_kernels_match_oracle(grids, all, random_rows(rng, 1200, 5));
+  expect_oracle_counts(grids, all, random_rows(rng, 1200, 5));
 
   // Spot-check the contract directly: the three duplicates carry equal
   // counts in the production configuration.
@@ -188,8 +149,8 @@ TEST(PopulateOracle, DuplicateCandidatesWithinASubspace) {
 }
 
 TEST(PopulateOracle, RecordsOutsideEveryCandidate) {
-  // All CDUs sit in bins the records never touch: every kernel must report
-  // all-zero counts (the lookup misses on every record).
+  // All CDUs sit in bins the records never touch: both modes must report
+  // all-zero counts (every AND is empty).
   const GridSet grids = uniform_grids(4, 10);
   UnitStore cdus(2);
   for (DimId a = 0; a < 3; ++a) {
@@ -200,29 +161,16 @@ TEST(PopulateOracle, RecordsOutsideEveryCandidate) {
   IcgRandom rng(107);
   // Records confined to [0, 50) -> bins 0..4 only.
   const std::vector<Value> rows = random_rows(rng, 800, 4, 0.0, 50.0);
-  expect_all_kernels_match_oracle(grids, cdus, rows);
+  expect_oracle_counts(grids, cdus, rows);
   UnitPopulator pop(grids, cdus);
   pop.accumulate(rows.data(), 800);
   for (const Count c : pop.counts()) EXPECT_EQ(c, 0u);
 }
 
-TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
-  // Regression guard for the open-addressing table sizing: at exactly 64
-  // CDUs in one subspace — a power-of-two member count — a `next_pow2(n)`
-  // capacity would be 64 slots for 64 keys (load factor 1.0), degrading
-  // probe chains toward O(n) and, with the final empty slot filled, turning
-  // the miss-probe loop into an infinite scan.  hash_table_capacity must
-  // keep >= 2x headroom everywhere, and the forced-hash kernel must agree
-  // with the oracle at that exact count.
-  EXPECT_EQ(hash_table_capacity(0), 4u);
-  EXPECT_EQ(hash_table_capacity(1), 4u);
-  EXPECT_EQ(hash_table_capacity(63), 128u);
-  EXPECT_EQ(hash_table_capacity(64), 128u);  // not 64: 2x headroom held
-  EXPECT_EQ(hash_table_capacity(65), 256u);
-  for (std::size_t n = 1; n <= 1024; ++n) {
-    ASSERT_GE(hash_table_capacity(n), 2 * n) << "members=" << n;
-  }
-
+TEST(PopulateOracle, SixtyFourCandidatesInOneSubspace) {
+  // 64 CDUs in one subspace: a power-of-two member count, at which a
+  // lookup structure sized to the members would run out of headroom.  The
+  // index needs none, and both modes must agree with the oracle.
   IcgRandom rng(108);
   const GridSet grids = uniform_grids(6, 12);
   UnitStore cdus(3);
@@ -235,31 +183,20 @@ TEST(PopulateOracle, HashTableKeepsHeadroomAtPowerOfTwoMemberCounts) {
     cdus.push_unchecked(dims, bins);
     ++pushed;
   }
-  const std::vector<Value> rows = random_rows(rng, 1500, 6);
-  const std::vector<Count> expected =
-      oracle_counts(grids, cdus, rows.data(), 1500);
-  const PopulateConfig force_hash{2048, PopulateKernel::Packed, 1};
-  UnitPopulator pop(grids, cdus, force_hash);
-  pop.accumulate(rows.data(), 1500);
-  ASSERT_EQ(pop.counts().size(), expected.size());
-  for (std::size_t u = 0; u < expected.size(); ++u) {
-    ASSERT_EQ(pop.counts()[u], expected[u]) << "cdu " << cdus.to_string(u);
-  }
+  expect_oracle_counts(grids, cdus, random_rows(rng, 1500, 6));
 }
 
 TEST(PopulateOracle, BitmapKernelSupportsInterleavedCountsAndAccumulate) {
-  // The bitmap kernel finalizes lazily: counts() AND-reduces only the word
-  // range appended since the last finalize.  Interleaving reads with
-  // further accumulation — which the SPMD loop does across chunk
-  // boundaries — must yield exact prefix counts at every step, including
-  // reads at non-multiple-of-64 row watermarks (partial head word).
+  // Every accumulate() counts its batch before returning, so reads
+  // interleaved with further accumulation — growing and shrinking batches,
+  // at row totals off the 64-row word grid — must see exact prefix counts
+  // at every step.
   IcgRandom rng(109);
   const GridSet grids = uniform_grids(7, 9);
   const UnitStore cdus = random_cdus(rng, grids, 3, 70);
   const std::vector<Value> rows = random_rows(rng, 1000, 7);
 
-  const PopulateConfig cfg{256, PopulateKernel::Bitmap, 48};
-  UnitPopulator pop(grids, cdus, cfg);
+  UnitPopulator pop(grids, cdus);
   std::size_t done = 0;
   for (const std::size_t chunk : {37u, 1u, 64u, 200u, 500u, 198u}) {
     pop.accumulate(rows.data() + done * 7, chunk);
@@ -273,7 +210,7 @@ TEST(PopulateOracle, BitmapKernelSupportsInterleavedCountsAndAccumulate) {
     }
   }
   ASSERT_EQ(done, 1000u);
-  // A read with no new rows since the last finalize is a no-op.
+  // A read with no new rows is a no-op.
   const std::vector<Count> again(pop.counts().begin(), pop.counts().end());
   EXPECT_EQ(again, oracle_counts(grids, cdus, rows.data(), 1000));
 }
@@ -307,7 +244,7 @@ TEST_P(PopulateOracleDatagen, KernelsMatchOracleOnPlantedWorkloads) {
   const std::size_t k =
       1 + uniform_index(rng, std::min<std::size_t>(cfg.num_dims, 10));
   const UnitStore cdus = random_cdus(rng, grids, k, 1 + uniform_index(rng, 120));
-  expect_all_kernels_match_oracle(grids, cdus, data.values());
+  expect_oracle_counts(grids, cdus, data.values());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PopulateOracleDatagen,

@@ -30,7 +30,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,11 +53,29 @@ namespace {
 
 using namespace mafia;
 
-/// Flags that take no value (presence is the value).
-const std::set<std::string> kBooleanFlags = {"resume", "io-prefetch", "stats"};
+/// Every flag the CLI reads, mapped to whether it takes a value (the
+/// others' presence is the value).  Any other flag is a Usage error, so a
+/// typo cannot silently fall back to a default.
+const std::map<std::string, bool> kFlags = {
+    {"algorithm", true},     {"algorithms", true},     {"alpha", true},
+    {"append-out", true},    {"append-records", true}, {"beta", true},
+    {"checkpoint-dir", true}, {"chunk", true},         {"cluster", true},
+    {"data", true},          {"dims", true},           {"domain-hi", true},
+    {"domain-lo", true},     {"fine-bins", true},      {"inject-fault", true},
+    {"io-buffers", true},    {"io-prefetch", false},   {"listen", true},
+    {"max-batch", true},     {"max-cdu-bytes", true},  {"min-dims", true},
+    {"model", true},         {"mp-backend", true},     {"mp-deadline", true},
+    {"mp-shm-slot", true},   {"noise", true},          {"noise-sigmas", true},
+    {"out", true},           {"prefix", true},         {"ranks", true},
+    {"records", true},       {"report-json", true},    {"resume", false},
+    {"save", true},          {"seed", true},           {"serve-threads", true},
+    {"stats", false},        {"tau", true},            {"true-clusters", true},
+    {"window-cells", true},  {"workload", true},       {"workloads", true},
+    {"xi", true},
+};
 
 /// Minimal --flag value parser: flags() holds every "--name value" pair;
-/// repeated flags accumulate.  Flags in kBooleanFlags consume no value.
+/// repeated flags accumulate.  Valueless flags (see kFlags) consume none.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -66,7 +83,9 @@ class Args {
       std::string key = argv[i];
       require(key.rfind("--", 0) == 0, "expected --flag, got '" + key + "'");
       key = key.substr(2);
-      if (kBooleanFlags.count(key) > 0) {
+      const auto flag = kFlags.find(key);
+      require(flag != kFlags.end(), "unknown flag --" + key);
+      if (!flag->second) {
         values_[key].push_back("true");
         continue;
       }
@@ -272,32 +291,6 @@ MafiaOptions options_from_args(const Args& args) {
       args.get_int("chunk", static_cast<long>(o.chunk_records)));
   o.min_cluster_dims = static_cast<std::size_t>(
       args.get_int("min-dims", static_cast<long>(o.min_cluster_dims)));
-  o.populate.block_records = static_cast<std::size_t>(args.get_int(
-      "populate-block", static_cast<long>(o.populate.block_records)));
-  if (args.has("populate-kernel")) {
-    const std::string kernel = args.get("populate-kernel");
-    if (kernel == "auto") {
-      o.populate.kernel = PopulateKernel::Auto;
-    } else if (kernel == "packed") {
-      o.populate.kernel = PopulateKernel::Packed;
-    } else if (kernel == "memcmp") {
-      o.populate.kernel = PopulateKernel::Memcmp;
-    } else if (kernel == "bitmap") {
-      o.populate.kernel = PopulateKernel::Bitmap;
-    } else {
-      require(false, "--populate-kernel must be auto, packed, memcmp, or bitmap");
-    }
-  }
-  if (args.has("join-kernel")) {
-    const std::string kernel = args.get("join-kernel");
-    if (kernel == "bucketed") {
-      o.join.kernel = JoinKernel::Bucketed;
-    } else if (kernel == "pairwise") {
-      o.join.kernel = JoinKernel::Pairwise;
-    } else {
-      require(false, "--join-kernel must be bucketed or pairwise");
-    }
-  }
   if (args.has("domain-lo") || args.has("domain-hi")) {
     o.fixed_domain = {{static_cast<Value>(args.get_double("domain-lo", 0.0)),
                        static_cast<Value>(args.get_double("domain-hi", 100.0))}};
@@ -727,11 +720,11 @@ void usage() {
       "           [--alpha A] [--beta B] [--fine-bins N] [--window-cells W]\n"
       "           [--noise-sigmas S] [--min-dims K] [--chunk B]\n"
       "           [--domain-lo L --domain-hi H] [--xi N --tau F]\n"
-      "           [--populate-kernel auto|packed|memcmp|bitmap]\n"
-      "           [--join-kernel bucketed|pairwise]\n"
       "           [--save model.txt] [--report-json report.json]\n"
       "           [--io-prefetch] [--io-buffers N]\n"
       "           [--checkpoint-dir DIR] [--resume] [--max-cdu-bytes N]\n"
+      "           (a budget below the run index rescans every level in\n"
+      "            --chunk batches instead of failing)\n"
       "           [--mp-backend threads|process] [--mp-deadline SECONDS]\n"
       "           [--mp-shm-slot BYTES]\n"
       "           [--inject-fault rank:op[:delay_s]]...   (repeatable;\n"
