@@ -1,11 +1,11 @@
 // Join-kernel A/B: the paper's O(n²) pairwise triangular scan vs the
-// bucket-indexed kernel that probes only pairs sharing a (k−2)-dim
-// sub-signature.  Both kernels produce bit-identical raw CDU sequences
-// (asserted here per configuration; tests/join_differential_test.cpp is
-// the exhaustive proof), so the comparison is pure work: probes and
-// wall-clock at equal output.
+// signature bucket index, which probes only pairs sharing a (k−2)-dim
+// sub-signature.  The index's raw walk produces the pairwise scan's raw
+// CDU sequence bit for bit (asserted here per configuration;
+// tests/join_differential_test.cpp is the exhaustive proof), so the micro
+// comparison is pure work: probes and wall-clock at equal output.
 //
-// Two measurements, both recorded as pmafia-bench-v1 rows in
+// Three measurements, all recorded as pmafia-bench-v1 rows in
 // BENCH_join.json (the committed rows are the baselines
 // scripts/bench_gate.py compares fresh runs against, via the join-phase
 // seconds):
@@ -14,11 +14,17 @@
 //     clustered: units packed into a few subspaces, the worst case for
 //     bucket sizes);
 //   * e2e   — full driver runs with the kernel forced each way on the
-//     Figure 3 workload; join-phase seconds from the run's phase trace.
+//     Figure 3 workload; join-phase seconds from the run's phase trace;
+//   * e2e-highdim — the same on the high-dimensional shape (clusters in
+//     10/12/15-dim subspaces), where the MAFIA join repeats each candidate
+//     many times and candidate generation is most of the build: the
+//     default kernel (canonical walk, no repeats) against the pairwise
+//     kernel plus repeat elimination, at p = 1 and p = 2.
 //
-// Exit status is the acceptance check: 0 iff the bucketed kernel is at
-// least 2x faster than pairwise at every micro configuration with >= 2000
-// dense units.
+// Exit status is the acceptance check: 0 iff the raw walk is at least 2x
+// faster than pairwise at every micro configuration with >= 2000 dense
+// units, and the e2e-highdim runs of both kernels agree on every level's
+// count checksum and raw candidate count and on the clusters.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -28,6 +34,7 @@
 #include "common/timer.hpp"
 #include "core/mafia.hpp"
 #include "datagen/workloads.hpp"
+#include "grid/adaptive_grid.hpp"
 #include "io/data_source.hpp"
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
@@ -94,15 +101,45 @@ void record_micro(const std::string& tag, double seconds,
   bench::append_bench_json("join", r, tag);
 }
 
+/// Empty when the two runs agree on every level's count checksum, raw and
+/// unique candidate counts and dense count, and on the clusters (order,
+/// subspaces, units and DNF); otherwise the first difference.
+std::string compare_runs(const MafiaResult& a, const MafiaResult& b) {
+  if (a.levels.size() != b.levels.size()) return "level count differs";
+  for (std::size_t l = 0; l < a.levels.size(); ++l) {
+    const LevelTrace& x = a.levels[l];
+    const LevelTrace& y = b.levels[l];
+    if (x.count_checksum != y.count_checksum || x.ncdu_raw != y.ncdu_raw ||
+        x.ncdu != y.ncdu || x.ndu != y.ndu) {
+      return "level " + std::to_string(x.level) + " differs";
+    }
+  }
+  if (a.clusters.size() != b.clusters.size()) return "cluster count differs";
+  for (std::size_t c = 0; c < a.clusters.size(); ++c) {
+    const Cluster& x = a.clusters[c];
+    const Cluster& y = b.clusters[c];
+    bool same = x.dims == y.dims &&
+                x.units.dim_bytes() == y.units.dim_bytes() &&
+                x.units.bin_bytes() == y.units.bin_bytes() &&
+                x.dnf.size() == y.dnf.size();
+    for (std::size_t i = 0; same && i < x.dnf.size(); ++i) {
+      same = x.dnf[i].lo == y.dnf[i].lo && x.dnf[i].hi == y.dnf[i].hi;
+    }
+    if (!same) return "cluster " + std::to_string(c) + " differs";
+  }
+  return {};
+}
+
 }  // namespace
 
 int main() {
   using namespace mafia;
 
   bench::print_header(
-      "Join kernel — bucketed sub-signature index vs pairwise O(n^2) scan",
+      "Join kernel — signature bucket index vs pairwise O(n^2) scan",
       "Section 4.3: CDU generation compares all unit pairs, Eq. 1 balanced",
-      "synthetic dense stores + fig3 driver runs, kernel A/B at equal output");
+      "synthetic dense stores + fig3 and highdim driver runs, kernel A/B at "
+      "equal output");
 
   struct Shape {
     const char* name;
@@ -194,10 +231,60 @@ int main() {
                 e2e_join_secs[1] / e2e_join_secs[0]);
   }
 
+  // ---- e2e-highdim: the default kernel against the paper path on the
+  // high-dimensional shape, with the options the end-to-end benchmark's
+  // build-deep workload uses (grid sized for the sample, domain [0, 100]).
+  const Dataset deep = generate(workloads::highdim(bench::scaled(10000)));
+  InMemorySource deep_source(deep);
+  std::printf("\n[e2e-highdim] full driver on %llu records x %zu dims\n",
+              static_cast<unsigned long long>(deep.num_records()),
+              deep.num_dims());
+  std::printf("%-10s %-4s %-12s %-12s %-12s %-8s %-11s %-11s %s\n", "kernel",
+              "p", "join(s)", "dedup(s)", "total(s)", "levels", "raw cdus",
+              "unique", "comm bytes");
+  bool agree = true;
+  for (const int p : {1, 2}) {
+    MafiaResult runs[2];
+    for (const bool bucketed : {true, false}) {
+      MafiaOptions o;
+      o.grid = AdaptiveGridOptions::for_sample_size(
+          static_cast<Count>(deep.num_records()));
+      o.fixed_domain = {{0.0f, 100.0f}};
+      o.join.kernel = bucketed ? JoinKernel::Bucketed : JoinKernel::Pairwise;
+      MafiaResult& r = runs[bucketed ? 0 : 1];
+      r = run_pmafia(deep_source, o, p);
+      std::uint64_t raw = 0;
+      std::uint64_t unique = 0;
+      for (const LevelTrace& t : r.levels) {
+        if (t.level > 1) {
+          raw += t.ncdu_raw;
+          unique += t.ncdu;
+        }
+      }
+      std::printf("%-10s %-4d %-12.4f %-12.4f %-12.3f %-8zu %-11llu %-11llu %llu\n",
+                  bucketed ? "bucketed" : "pairwise", p, r.phases.get("join"),
+                  r.phases.get("dedup"), r.total_seconds, r.levels.size(),
+                  static_cast<unsigned long long>(raw),
+                  static_cast<unsigned long long>(unique),
+                  static_cast<unsigned long long>(r.comm.total_bytes()));
+      char tag[64];
+      std::snprintf(tag, sizeof(tag), "e2e-highdim-p=%d-kernel=%s", p,
+                    bucketed ? "bucketed" : "pairwise");
+      bench::append_bench_json("join", r, tag);
+    }
+    const std::string diff = compare_runs(runs[0], runs[1]);
+    if (!diff.empty()) {
+      std::printf("FATAL: kernels disagree on highdim at p=%d: %s\n", p,
+                  diff.c_str());
+      agree = false;
+    }
+  }
+
   std::printf("\nmin micro speedup at n >= 2000: %.2fx (acceptance: >= 2x)\n",
               min_gated_speedup);
+  std::printf("highdim kernels agree: %s\n", agree ? "yes" : "NO");
   std::printf("rows appended to BENCH_join.json "
               "(scripts/bench_gate.py compares against the committed "
               "baselines).\n");
-  return min_gated_speedup >= 2.0 ? 0 : 1;
+  return min_gated_speedup >= 2.0 && agree ? 0 : 1;
 }

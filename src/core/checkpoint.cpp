@@ -80,15 +80,6 @@ std::vector<std::uint8_t> serialize_checkpoint(const CheckpointState& state) {
   for (const LevelRecord& rec : state.records) {
     w.pod(rec.level);
     write_store(w, rec.cdus);
-    // Parent index pairs pack into one u64 each (same wire trick as the
-    // driver's gather of join parents).
-    std::vector<std::uint64_t> packed(rec.parents.size());
-    for (std::size_t i = 0; i < rec.parents.size(); ++i) {
-      packed[i] = (static_cast<std::uint64_t>(rec.parents[i].first) << 32) |
-                  rec.parents[i].second;
-    }
-    w.vec(packed);
-    w.vec(rec.raw_to_unique);
     w.pod(rec.pending_raw_count);
     w.pod(rec.pending_join.buckets);
     w.pod(rec.pending_join.probes);
@@ -159,13 +150,6 @@ CheckpointState deserialize_checkpoint(const std::uint8_t* data,
                         (i == 0 || rec.level == state.records[0].level + i),
                     "checkpoint: level records out of order");
       rec.cdus = read_store(r);
-      const auto packed = r.vec<std::uint64_t>();
-      rec.parents.resize(packed.size());
-      for (std::size_t j = 0; j < packed.size(); ++j) {
-        rec.parents[j] = {static_cast<std::uint32_t>(packed[j] >> 32),
-                          static_cast<std::uint32_t>(packed[j])};
-      }
-      rec.raw_to_unique = r.vec<std::uint32_t>();
       rec.pending_raw_count = r.pod<std::uint64_t>();
       rec.pending_join.buckets = r.pod<std::uint64_t>();
       rec.pending_join.probes = r.pod<std::uint64_t>();
@@ -263,29 +247,36 @@ void require_start_at_level_one(const CheckpointState& state) {
                 "level 1");
 }
 
-/// Requires `rec` to replay safely after `prev`, the record of the level
-/// before it: the replay reads flags[raw_to_unique[r]] and marks
-/// prev_dense[parents[r]], and the CRC only proves the bytes are the ones
-/// written, not that a writer produced them.  So every raw candidate needs
-/// its unique index inside `rec`'s candidates, and every parent index must
-/// fall inside `prev`'s dense units — its set flags.
-void require_replayable(const LevelRecord& prev, const LevelRecord& rec) {
-  const std::string level = "checkpoint: level " + std::to_string(rec.level);
-  require_input(rec.raw_to_unique.size() == rec.parents.size(),
-                level + " has a dedup map not aligned with its parent pairs");
-  require_input(
-      std::all_of(rec.raw_to_unique.begin(), rec.raw_to_unique.end(),
-                  [&rec](std::uint32_t u) { return u < rec.cdus.size(); }),
-      level + " maps a candidate past its unique candidates");
-  const auto dense = static_cast<std::size_t>(
-      std::count_if(prev.flags.begin(), prev.flags.end(),
-                    [](std::uint8_t f) { return f != 0; }));
-  require_input(
-      std::all_of(rec.parents.begin(), rec.parents.end(),
-                  [dense](const std::pair<std::uint32_t, std::uint32_t>& pr) {
-                    return pr.first < dense && pr.second < dense;
-                  }),
-      level + " names a parent past the previous level's dense units");
+/// Requires every candidate of `rec` to fit the grid phase of `state`
+/// before a replay reads it: the populate kernel indexes the grids by dim
+/// and identify reads the thresholds by bin, and the CRC only proves the
+/// bytes are the ones written, not that a writer produced them.  So the
+/// candidates must have the record's level as their dimensionality, and
+/// each unit strictly ascending dims below the dimension count and bins
+/// inside its dimension's grid.
+void require_valid_candidates(const CheckpointState& state,
+                              const LevelRecord& rec) {
+  const auto fail = [&rec](const char* what) {
+    throw InputError("checkpoint: level " + std::to_string(rec.level) +
+                     " holds " + what);
+  };
+  const UnitStore& cdus = rec.cdus;
+  if (cdus.k() != rec.level) fail("candidates of another dimensionality");
+  for (std::size_t u = 0; u < cdus.size(); ++u) {
+    const auto dims = cdus.dims(u);
+    const auto bins = cdus.bins(u);
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      if (i > 0 && dims[i - 1] >= dims[i]) {
+        fail("a candidate whose dims are not ascending");
+      }
+      if (dims[i] >= state.grids.num_dims()) {
+        fail("a candidate past the data's dimensions");
+      }
+      if (bins[i] >= state.grids[dims[i]].num_bins()) {
+        fail("a candidate past its dimension's bins");
+      }
+    }
+  }
 }
 
 /// Levels of the level files under `directory`, ascending.
@@ -348,8 +339,8 @@ CheckpointScan load_final_checkpoint(const std::string& directory,
     require_input(fingerprint == 0 || state->fingerprint == fingerprint,
                   "checkpoint: options/data fingerprint mismatch");
     require_start_at_level_one(*state);
-    for (std::size_t i = 1; i < state->records.size(); ++i) {
-      require_replayable(state->records[i - 1], state->records[i]);
+    for (const LevelRecord& rec : state->records) {
+      require_valid_candidates(*state, rec);
     }
     scan.state = std::move(state);
   } catch (const InputError&) {
@@ -378,9 +369,10 @@ CheckpointScan load_latest_checkpoint(const std::string& directory,
                     "checkpoint: level file holds the wrong level");
       if (!scan.state) {
         require_start_at_level_one(*file);
+        require_valid_candidates(*file, file->records.front());
         scan.state = std::move(file);
       } else {
-        require_replayable(scan.state->records.back(), file->records.front());
+        require_valid_candidates(*scan.state, file->records.front());
         scan.state->records.push_back(std::move(file->records.front()));
       }
       ++linked;

@@ -13,15 +13,17 @@
 // grid/density algorithm, since the state is kilobytes of dense-unit
 // summaries, not gigabytes of data.
 //
-// File format (version 5, little-endian PODs):
+// File format (version 6, little-endian PODs):
 //   [0..7]   magic "MAFIACKP"
 //   [8..11]  uint32 format version
 //   [12..15] uint32 CRC-32 of the payload
 //   [16.. ]  payload: fingerprint, data shape, the grid phase (empty when
 //            the file does not carry it), the level records, and the data
 //            provenance (empty outside the final file)
-// Older versions carried the loop state and cumulative outputs instead of
-// level records; they are discarded by the version check.
+// Older versions are discarded by the version check: versions before 5
+// carried the loop state and cumulative outputs instead of level records,
+// and version 5's records also carried the join's raw parent pairs and
+// raw→unique map, which parent marking by unit content made unnecessary.
 //
 // Two kinds of file share the format, written by one serializer and read
 // by one file reader:
@@ -36,13 +38,15 @@
 // Torn writes cannot produce a "valid" half-checkpoint: files are written
 // to a temp name and atomically renamed, and the CRC guards everything
 // after the header.  The CRC is not an authenticator, though, so the
-// loaders also check what the replay indexes with: every record past level
-// 1 maps each raw candidate into its own candidates and names parents
-// inside the previous level's dense units.  A level file that is missing,
-// short, corrupt, from another format version, fingerprinted for
-// different options/data, or fails those checks ends the chain; it and
-// every later file count as discarded, so the run report can surface
-// them.  A final file that fails them is discarded the same way.
+// loaders also check every stored candidate against the grid phase before
+// a replay reads one: a record's candidates have its level's
+// dimensionality, each unit's dims are strictly ascending and below the
+// data's dimension count, and each bin lies inside its dimension's grid.
+// A level file that is missing, short, corrupt, from another format
+// version, fingerprinted for different options/data, or fails those checks
+// ends the chain; it and every later file count as discarded, so the run
+// report can surface them.  A final file that fails them is discarded the
+// same way.
 //
 // The options fingerprint covers every knob that changes the computed
 // state (grid parameters, density policy, join rule, dedup policy, tau,
@@ -68,7 +72,7 @@
 
 namespace mafia {
 
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// One data file a checkpointed run consumed, in concatenation order —
 /// `pmafia append` reloads the segments to reconstruct the base data.
@@ -77,9 +81,11 @@ struct DataSegment {
   std::uint64_t records = 0;
 };
 
-/// One completed level of the bottom-up loop: its entering state (the join
-/// that produced its candidates), the global counts and dense flags it
-/// computed, and the dense units its own join left unpaired.  A run
+/// One completed level of the bottom-up loop: its entering state (the
+/// unique candidates the join produced, and that join's counters), the
+/// global counts and dense flags it computed, and the dense units its own
+/// join left unpaired.  Nothing per raw emission is stored: parent marking
+/// works from unit content (mark_dense_parents).  A run
 /// replays a record instead of recomputing the level while the fresh dense
 /// flags of every earlier level match the stored ones: the level's
 /// candidate set is then unchanged, so its counts are the stored global
@@ -87,9 +93,9 @@ struct DataSegment {
 struct LevelRecord {
   std::uint64_t level = 1;
   UnitStore cdus{1};
-  /// Join artifacts that produced `cdus` (empty/zero at level 1).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
-  std::vector<std::uint32_t> raw_to_unique;
+  /// The level's candidate count before repeat elimination — the joining
+  /// pairs of the join that produced `cdus`, or every bin at level 1 — and
+  /// that join's work counters and kernel (zero at level 1).
   std::uint64_t pending_raw_count = 0;
   JoinStats pending_join;
   /// Kernel of that join: 0 = none (level 1), 1 = pairwise, 2 = bucketed.
@@ -168,7 +174,7 @@ struct CheckpointScan {
 /// Joins the level files under `directory` into the longest valid chain
 /// from level 1: the first file must carry the grid phase, and each file
 /// must deserialize cleanly, match `fingerprint`, and hold the next level's
-/// record, whose replay indices fit the chain so far.  The first file
+/// record, whose candidates fit the first file's grids.  The first file
 /// that does not ends the chain; it and every later file count as
 /// discarded.  A missing directory is simply "no checkpoint".
 [[nodiscard]] CheckpointScan load_latest_checkpoint(
@@ -184,11 +190,10 @@ struct CheckpointScan {
 void write_final_checkpoint(const std::string& directory,
                             const CheckpointState& state);
 
-/// Loads the final checkpoint under `directory` if present, valid (replay
-/// indices included), and fingerprinted `fingerprint` (0 = accept any
-/// fingerprint).  Invalid or
-/// mismatched files count as discarded, exactly like
-/// load_latest_checkpoint.
+/// Loads the final checkpoint under `directory` if present, valid (every
+/// stored candidate fitting its grids included), and fingerprinted
+/// `fingerprint` (0 = accept any fingerprint).  Invalid or mismatched files
+/// count as discarded, exactly like load_latest_checkpoint.
 [[nodiscard]] CheckpointScan load_final_checkpoint(
     const std::string& directory, std::uint64_t fingerprint);
 

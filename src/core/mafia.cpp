@@ -115,10 +115,11 @@ class MafiaWorker {
 
   /// Collective start-state load.  Rank 0 reads the start file — the
   /// level chain for --resume, the base run's final checkpoint
-  /// (fingerprinted for the base record count) for append — and
-  /// broadcasts it, so every rank starts from the same records.  No state
-  /// means a fresh start, which is an input error for append: it cannot
-  /// proceed without the thing it appends to.
+  /// (fingerprinted for the base record count) for append — and keeps it;
+  /// with more ranks it broadcasts the state's bytes, so every rank starts
+  /// from the same records.  No state means a fresh start, which is an
+  /// input error for append: it cannot proceed without the thing it
+  /// appends to.
   std::optional<CheckpointState> load_start_state() {
     if (!opt_.checkpoint.enabled()) return std::nullopt;
     PhaseTracer::Scope sp(tracer_, "checkpoint");
@@ -128,10 +129,10 @@ class MafiaWorker {
     fingerprint_ = checkpoint_fingerprint(
         opt_, static_cast<std::uint64_t>(data_.num_records()), dims);
 
-    std::vector<std::uint8_t> blob;
+    std::optional<CheckpointState> state;
     if (opt_.append || opt_.checkpoint.resume) {
       if (comm_.is_parent()) {
-        const CheckpointScan scan =
+        CheckpointScan scan =
             opt_.append
                 ? load_final_checkpoint(
                       opt_.checkpoint.directory,
@@ -141,16 +142,23 @@ class MafiaWorker {
                                          fingerprint_);
         recovery_.checkpoints_discarded =
             static_cast<std::size_t>(scan.discarded);
-        if (scan.state) blob = serialize_checkpoint(*scan.state);
+        state = std::move(scan.state);
       }
-      comm_.bcast(blob);
+      if (comm_.size() > 1) {
+        std::vector<std::uint8_t> blob;
+        if (state) blob = serialize_checkpoint(*state);
+        comm_.bcast(blob);
+        if (!comm_.is_parent() && !blob.empty()) {
+          state = deserialize_checkpoint(blob.data(), blob.size());
+        }
+      }
     }
-    require_input(!opt_.append || !blob.empty(),
+    require_input(!opt_.append || state.has_value(),
                   "append: no valid final checkpoint for the base data under " +
                       opt_.checkpoint.directory +
                       " (run a checkpointed cluster first, with matching "
                       "options)");
-    if (blob.empty()) {
+    if (!state) {
       // A run without a start state writes its level chain from scratch;
       // an earlier run's level files must not extend it for a later resume.
       if (comm_.is_parent()) {
@@ -158,9 +166,8 @@ class MafiaWorker {
       }
       return std::nullopt;
     }
-    CheckpointState state = deserialize_checkpoint(blob.data(), blob.size());
     recovery_.resumed = opt_.checkpoint.resume;
-    if (recovery_.resumed) recovery_.resume_level = state.records.size() + 1;
+    if (recovery_.resumed) recovery_.resume_level = state->records.size() + 1;
     return state;
   }
 
@@ -404,14 +411,8 @@ class MafiaWorker {
       // dense unit whose every candidate child failed the density test (or
       // that produced no candidates) is a maximal dense region.
       if (level > 1) {
-        std::vector<std::uint8_t> marked(prev_dense.size(), 0);
-        for (std::size_t r = 0; r < rec.parents.size(); ++r) {
-          if (flags[rec.raw_to_unique[r]]) {
-            marked[rec.parents[r].first] = 1;
-            marked[rec.parents[r].second] = 1;
-          }
-        }
-        register_unmarked(prev_dense, marked);
+        register_unmarked(prev_dense, mark_dense_parents(prev_dense, cdus, flags,
+                                                         opt_.join_rule));
       }
 
       if (ndu == 0) break;  // "while (no more dense units are found)"
@@ -449,12 +450,12 @@ class MafiaWorker {
       prev_dense = std::move(dense);
       if (chain_ && level < stored.size()) {
         // With the chain intact the stored run generated the next level
-        // from the identical dense set, so the join's output (unique CDUs,
-        // parents, dedup map, work counters) and this level's unjoined
-        // units are replayed from the stored records; the next level
-        // recomputes the rest of its record.  Where the records end, the
-        // real join below continues — or reproduces the stored run's
-        // termination identically.
+        // from the identical dense set, so the join's output (unique CDUs
+        // and work counters) and this level's unjoined units are replayed
+        // from the stored records; the next level recomputes the rest of
+        // its record.  Where the records end, the real join below
+        // continues — or reproduces the stored run's termination
+        // identically.
         trace_.back().unjoined_dus = stored[level - 1].unjoined_dus;
         trace_.back().unjoined_units = stored[level - 1].unjoined_units;
         keep_record(std::move(rec), /*computed=*/false);
@@ -463,119 +464,92 @@ class MafiaWorker {
       }
       LevelRecord next;
       next.level = level + 1;
-      // Kernel selection: the bucketed index needs a non-empty
-      // sub-signature, so (k−1)-dim parents with k−1 == 1 (one global
-      // bucket — all pair work on one rank) fall back to the pairwise
-      // triangular scan, which Eq. 1 balances exactly.
-      const bool bucketed =
-          opt_.join.kernel == JoinKernel::Bucketed && prev_dense.k() >= 2;
+      const bool bucketed = opt_.join.kernel == JoinKernel::Bucketed;
       if (bucketed) {
-        // The bucket index is the join's auxiliary memory; budget it before
-        // any rank starts building (the estimate is deterministic, so the
-        // guard stays collective).
+        // The signature index is the join's auxiliary memory; budget it
+        // before any rank starts building (the estimate is deterministic,
+        // so the guard stays collective).
         check_budget(next.level, "join bucket index",
                      JoinBucketIndex::estimate_bytes(
                          prev_dense.size(), prev_dense.k(), opt_.join_rule));
       }
-      UnitStore raw(next.level);
-      std::vector<std::uint8_t> combined;
+      JoinResult jr;
       {
         PhaseTracer::Scope sp(tracer_, "join");
-        if (prev_dense.size() > opt_.tau && p > 1) {
-          JoinResult jr;
-          if (bucketed) {
-            // Every rank builds the identical index over the replicated
-            // dense store; bucket ranges are balanced by per-bucket pair
-            // work, the bucketed analogue of Eq. 1's row ranges.
-            const JoinBucketIndex index(prev_dense, opt_.join_rule);
+        const bool parallel = prev_dense.size() > opt_.tau && p > 1;
+        const auto r = static_cast<std::size_t>(rank);
+        if (bucketed) {
+          // Every rank builds the identical index over the replicated dense
+          // store and walks a unit range balanced by member visits; the
+          // ranges' outputs are contiguous in the global candidate order.
+          const JoinBucketIndex index(prev_dense, opt_.join_rule);
+          if (parallel) {
             const auto bounds = weight_balanced_partition(
-                index.bucket_work(), static_cast<std::size_t>(p));
-            jr = index.join_range(bounds[static_cast<std::size_t>(rank)],
-                                  bounds[static_cast<std::size_t>(rank) + 1]);
+                index.unit_work(), static_cast<std::size_t>(p));
+            jr = index.join_unique(bounds[r], bounds[r + 1]);
           } else {
-            const auto bounds =
-                opt_.optimal_task_partition
-                    ? triangular_partition(prev_dense.size(),
-                                           static_cast<std::size_t>(p))
-                    : block_bounds(prev_dense.size(), p);
-            jr = join_dense_units(prev_dense, opt_.join_rule,
-                                  bounds[static_cast<std::size_t>(rank)],
-                                  bounds[static_cast<std::size_t>(rank) + 1]);
+            jr = index.join_unique(0, prev_dense.size());
           }
+        } else if (parallel) {
+          const auto bounds =
+              opt_.optimal_task_partition
+                  ? triangular_partition(prev_dense.size(),
+                                         static_cast<std::size_t>(p))
+                  : block_bounds(prev_dense.size(), p);
+          jr = join_dense_units(prev_dense, opt_.join_rule, bounds[r],
+                                bounds[r + 1]);
+        } else {
+          jr = join_dense_units(prev_dense, opt_.join_rule);
+        }
+        if (parallel) {
           // "CDUs generated by the processors are communicated to the
           // parent processor which concatenates the CDU dimension and bin
           // arrays in the rank order ... This information is broadcast."
           auto dim_bytes = comm_.gatherv(jr.cdus.dim_bytes());
           auto bin_bytes = comm_.gatherv(jr.cdus.bin_bytes());
-          std::vector<std::uint64_t> packed(jr.parents.size());
-          for (std::size_t i = 0; i < jr.parents.size(); ++i) {
-            packed[i] = (static_cast<std::uint64_t>(jr.parents[i].first) << 32) |
-                        jr.parents[i].second;
-          }
-          auto parent_bytes = comm_.gatherv(packed);
           comm_.bcast(dim_bytes);
           comm_.bcast(bin_bytes);
-          comm_.bcast(parent_bytes);
-          raw = UnitStore::from_bytes(next.level, std::move(dim_bytes),
-                                      std::move(bin_bytes));
-          next.parents.resize(parent_bytes.size());
-          for (std::size_t i = 0; i < parent_bytes.size(); ++i) {
-            next.parents[i] = {
-                static_cast<std::uint32_t>(parent_bytes[i] >> 32),
-                static_cast<std::uint32_t>(parent_bytes[i])};
-          }
-          // Globalize the work counters (bucket ranges partition the index,
-          // so the bucket sum is the index's bucket count).
+          jr.cdus = UnitStore::from_bytes(next.level, std::move(dim_bytes),
+                                          std::move(bin_bytes));
+          // Globalize the work counters and the combined flags: a dense
+          // unit is unjoined only if no rank's range paired it.
           std::vector<std::uint64_t> sv{jr.stats.buckets, jr.stats.probes,
-                                        jr.stats.emitted};
+                                        jr.stats.emitted,
+                                        jr.stats.repeats_fused};
           comm_.allreduce_sum(sv);
-          next.pending_join = JoinStats{sv[0], sv[1], sv[2], 0};
-          // Globalize the combined flags: a dense unit is unjoined only if
-          // no rank's join range paired it.
-          combined = std::move(jr.combined);
-          comm_.allreduce_or(combined);
-          // The bucketed ranks emitted in bucket-major order; restoring the
-          // packed-parent order makes the concatenated sequence exactly the
-          // pairwise scan's, so everything downstream (dedup order, parent
-          // marking, checksums) is bit-identical across kernels.
-          if (bucketed) sort_cdus_by_parents(raw, next.parents);
-        } else {
-          JoinResult jr = bucketed
-                              ? bucket_join_dense_units(prev_dense, opt_.join_rule)
-                              : join_dense_units(prev_dense, opt_.join_rule);
-          raw = std::move(jr.cdus);
-          next.parents = std::move(jr.parents);
-          next.pending_join = jr.stats;
-          combined = std::move(jr.combined);
+          jr.stats = JoinStats{sv[0], sv[1], sv[2], sv[3]};
+          comm_.allreduce_or(jr.combined);
         }
-        next.pending_join_kernel = bucketed ? 2 : 1;
       }
+      next.pending_join = jr.stats;
+      next.pending_join_kernel = bucketed ? 2 : 1;
+      // The joining pairs: the pairwise scan's raw emission count, which
+      // the canonical walk counts without emitting the repeats.
+      next.pending_raw_count = jr.stats.emitted;
 
       // gpumafia's find_unjoined_dus: record, on the level the dense units
       // came from, every unit the join paired into no candidate (the
       // paper's "dense units which could not be combined" — they are also
       // registered as maximal below, since no child can mark them).
-      record_unjoined(prev_dense, combined);
+      record_unjoined(prev_dense, jr.combined);
 
-      if (raw.empty()) {
+      if (jr.cdus.empty()) {
         // No unit could combine: every previous dense unit is maximal.
         register_all(prev_dense);
         break;
       }
-      next.pending_raw_count = raw.size();
-      check_cdu_budget(next.level, raw.size(), raw.k(), /*with_counts=*/false);
+      check_cdu_budget(next.level, jr.cdus.size(), jr.cdus.k(),
+                       /*with_counts=*/false);
 
-      // ---- Eliminate repeated CDUs (Algorithm 4).
-      {
+      if (bucketed) {
+        next.cdus = std::move(jr.cdus);
+      } else {
+        // ---- Eliminate repeated CDUs (Algorithm 4), on the paper path.
         PhaseTracer::Scope sp(tracer_, "dedup");
+        const UnitStore& raw = jr.cdus;
         DedupResult dd;
-        if (bucketed || opt_.dedup == DedupPolicy::Hash) {
-          // Under the bucketed kernel repeat elimination is fused: one hash
-          // pass over the parent-ordered emissions replaces the pairwise
-          // O(Ncdu²) repeat scan regardless of DedupPolicy (which stays
-          // meaningful for the pairwise kernel's fidelity/ablation runs).
+        if (opt_.dedup == DedupPolicy::Hash) {
           dd = dedup_hash(raw);
-          if (bucketed) next.pending_join.repeats_fused = dd.num_repeats;
         } else if (raw.size() > opt_.tau && p > 1) {
           const auto bounds =
               opt_.optimal_task_partition
@@ -591,7 +565,6 @@ class MafiaWorker {
                                 pairwise_repeat_flags(raw, 0, raw.size()));
         }
         next.cdus = std::move(dd.unique);
-        next.raw_to_unique = std::move(dd.raw_to_unique);
       }
 
       // ---- Level boundary: the record completed here is everything a

@@ -121,15 +121,16 @@ struct MafiaOptions {
   /// Repeat-elimination strategy.  Hash is the engineering default;
   /// Pairwise is the paper's O(Ncdu^2) kernel, task-partitioned in
   /// parallel runs (kept for fidelity and the dedup ablation bench).
-  /// Note: under join.kernel == JoinKernel::Bucketed repeat elimination is
-  /// fused into candidate finalization as a single hash pass and this knob
-  /// is not consulted; it takes effect only with the Pairwise join kernel.
+  /// Note: it takes effect only with the Pairwise join kernel; the default
+  /// JoinKernel::Bucketed emits each candidate once, so no repeat exists
+  /// to eliminate and this knob is not consulted.
   DedupPolicy dedup = DedupPolicy::Hash;
 
   /// Candidate-generation kernel selection (units/join.hpp).  Bucketed (the
-  /// default) probes only pairs sharing a (k−2)-dim sub-signature and is
-  /// bit-identical in output to the paper's Pairwise triangular scan, which
-  /// remains available for fidelity runs and the join A/B bench.
+  /// default) walks a drop-one signature index and emits each unique
+  /// candidate once, bit-identical in output to the paper's Pairwise
+  /// triangular scan plus repeat elimination, which remains available for
+  /// fidelity runs and the join A/B bench.
   JoinConfig join;
 
   /// B: records per chunk of the out-of-core scans (Algorithm 2's memory

@@ -37,8 +37,11 @@ struct LevelTrace {
   std::uint64_t count_checksum = 0;
   /// Join work counters for the join that generated this level's CDUs,
   /// globalized across ranks (units/join.hpp JoinStats).  join_buckets is 0
-  /// when the pairwise kernel ran; join_repeats_fused counts repeats
-  /// eliminated by the fused hash pass under the bucketed kernel.
+  /// when the pairwise kernel ran; join_emitted counts joining pairs (equal
+  /// to ncdu_raw); join_repeats_fused counts the pairs whose candidate the
+  /// bucketed kernel's canonical walk emitted once from its lowest pair
+  /// instead — join_emitted − ncdu — and is 0 under the pairwise kernel,
+  /// whose repeats the dedup phase removes.
   std::uint64_t join_buckets = 0;
   std::uint64_t join_probes = 0;
   std::uint64_t join_emitted = 0;
@@ -109,8 +112,9 @@ struct MafiaResult {
   std::vector<LevelTrace> levels;
 
   /// Wall-clock per phase, max across ranks (the slowest rank bounds the
-  /// job): "histogram", "grid", "populate", "identify", "join", "dedup",
-  /// "assemble", "io+scan" is folded into populate/histogram.  Derived
+  /// job): "histogram", "grid", "populate", "identify", "join", "dedup"
+  /// (pairwise join kernel only), "assemble", "io+scan" is folded into
+  /// populate/histogram.  Derived
   /// from `trace` (a true cross-rank allreduce_max, not rank 0's timers).
   PhaseTimer phases;
 

@@ -112,7 +112,7 @@ std::vector<std::size_t> weight_balanced_partition(
   std::uint64_t total = 0;
   for (const std::uint64_t w : weights) total += w;
 
-  // All-zero weights (every bucket a singleton): even block split, same
+  // All-zero weights (no unit has work): even block split, same
   // rationale as flag_balanced_partition's degenerate case.
   if (total == 0) {
     for (std::size_t i = 0; i <= p; ++i) bounds[i] = n * i / p;
@@ -120,7 +120,7 @@ std::vector<std::size_t> weight_balanced_partition(
   }
 
   // Same ceil-quota scan as flag_balanced_partition, weights instead of
-  // flags; one heavy bucket can satisfy several quotas at once, so all
+  // flags; one heavy unit can satisfy several quotas at once, so all
   // satisfied ranks cut at the same index.
   std::size_t next_rank = 1;
   std::uint64_t seen = 0;

@@ -54,9 +54,9 @@ namespace mafia {
 
 /// Weighted range partitioning: cut [0, weights.size()) into p contiguous
 /// ranges with (as nearly as possible) equal total weight.  The bucketed
-/// join kernel balances signature-bucket ranges with per-bucket pair work
-/// b·(b−1)/2 as the weight.  All-zero weights fall back to an even block
-/// split (same degenerate-case policy as flag_balanced_partition).
+/// join kernel balances unit ranges with per-unit member visits as the
+/// weight.  All-zero weights fall back to an even block split (same
+/// degenerate-case policy as flag_balanced_partition).
 [[nodiscard]] std::vector<std::size_t> weight_balanced_partition(
     std::span<const std::uint64_t> weights, std::size_t p);
 

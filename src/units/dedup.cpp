@@ -1,6 +1,35 @@
 #include "units/dedup.hpp"
 
+#include <unordered_map>
+
 namespace mafia {
+
+namespace {
+
+/// Hash-map key view over a unit: the store plus a unit index, hashed and
+/// compared by content.  Avoids materializing per-unit key strings.
+struct UnitKey {
+  const UnitStore* store;
+  std::size_t index;
+};
+
+struct UnitKeyHash {
+  std::size_t operator()(const UnitKey& k) const {
+    return static_cast<std::size_t>(k.store->hash(k.index));
+  }
+};
+
+struct UnitKeyEq {
+  bool operator()(const UnitKey& a, const UnitKey& b) const {
+    return a.store->equal(a.index, *b.store, b.index);
+  }
+};
+
+/// First-occurrence map: unit content -> index in the unique store.
+using UnitIndexMap =
+    std::unordered_map<UnitKey, std::uint32_t, UnitKeyHash, UnitKeyEq>;
+
+}  // namespace
 
 std::vector<std::uint8_t> pairwise_repeat_flags(const UnitStore& raw,
                                                 std::size_t i_begin,

@@ -1,4 +1,4 @@
-// Repeated-CDU elimination (Algorithm 4).
+// Repeated-CDU elimination (Algorithm 4), on the pairwise (paper) path.
 //
 // The MAFIA join generates the same candidate from many parent pairs
 // (Figure 2's "Repeat" rows).  The paper eliminates repeats with a pairwise
@@ -6,19 +6,20 @@
 // itself.  This module provides:
 //   * the paper-faithful pairwise kernel (range-partitionable, so the
 //     parallel driver can split it with the Eq. 1 solver), and
-//   * a hash-based O(Ncdu) pass over the UnitKey map used by default in
-//     serial runs — and unconditionally under the bucketed join kernel,
-//     where repeat elimination is fused into candidate finalization (one
-//     pass over the parent-sorted emissions) and the pairwise repeat scan
-//     disappears from the default path entirely,
+//   * a hash-based O(Ncdu) pass over the UnitKey map (DedupPolicy::Hash,
+//     the default policy),
 // plus the machinery to rebuild the unique store and the raw→unique index
-// map that parent marking needs.  tests/dedup sections of units_test.cpp
-// prove the two paths equivalent; bench_ablation_dedup measures the gap.
+// map.  The driver runs them only under JoinKernel::Pairwise: the default
+// bucketed kernel's canonical walk emits each candidate once, in the order
+// dedup_hash leaves them (units/join.hpp), so the default path has no
+// repeats to eliminate.  The oracles and perfbench's serial replay still
+// pair the raw join with dedup_hash.  tests/dedup sections of
+// units_test.cpp prove the two paths equivalent; bench_ablation_dedup
+// measures the gap.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "units/unit_store.hpp"
@@ -30,31 +31,6 @@ enum class DedupPolicy {
   Hash,      ///< hash set over canonical (dims, bins) keys — O(Ncdu)
   Pairwise,  ///< the paper's all-pairs comparison — O(Ncdu²), partitionable
 };
-
-/// Hash-map key view over a unit: the store plus a unit index, hashed and
-/// compared by content.  Avoids materializing per-unit key strings.
-/// Public so the bucketed join's fused repeat elimination shares one
-/// definition of unit identity with the dedup kernels.
-struct UnitKey {
-  const UnitStore* store;
-  std::size_t index;
-};
-
-struct UnitKeyHash {
-  std::size_t operator()(const UnitKey& k) const {
-    return static_cast<std::size_t>(k.store->hash(k.index));
-  }
-};
-
-struct UnitKeyEq {
-  bool operator()(const UnitKey& a, const UnitKey& b) const {
-    return a.store->equal(a.index, *b.store, b.index);
-  }
-};
-
-/// First-occurrence map: unit content -> index in the unique store.
-using UnitIndexMap =
-    std::unordered_map<UnitKey, std::uint32_t, UnitKeyHash, UnitKeyEq>;
 
 /// Pairwise repeat detection over an i-range: marks unit j as repeated when
 /// some i < j in [i_begin, i_end) has identical content ("Identify repeated
@@ -70,7 +46,7 @@ struct DedupResult {
   /// First-occurrence units in original order.
   UnitStore unique{1};
   /// raw index -> index into `unique` (every raw unit, including repeats,
-  /// maps to its unique representative; needed for parent marking).
+  /// maps to its unique representative).
   std::vector<std::uint32_t> raw_to_unique;
   /// Number of eliminated repeats (the paper's Nrepeat).
   std::size_t num_repeats = 0;

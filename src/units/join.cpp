@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
-#include <numeric>
+#include <bit>
+#include <limits>
 
 namespace mafia {
 
@@ -81,15 +81,73 @@ bool merge_clique(std::span<const DimId> da, std::span<const BinId> ba,
   return true;
 }
 
-/// Dispatches on the rule; shared verifier of both kernels, so bucketed
-/// emission correctness reduces to "does the pair meet in some bucket".
-bool merge_pair(const UnitStore& dense, std::size_t a, std::size_t b,
-                JoinRule rule, DimId* out_dims, BinId* out_bins) {
-  return rule == JoinRule::MafiaAnyShared
-             ? merge_mafia(dense.dims(a), dense.bins(a), dense.dims(b),
-                           dense.bins(b), out_dims, out_bins)
-             : merge_clique(dense.dims(a), dense.bins(a), dense.dims(b),
-                            dense.bins(b), out_dims, out_bins);
+/// 64-bit mix of one (dim, bin) coordinate (splitmix64's finalizer).  A
+/// unit hashes to the wrapping sum of its coordinates' mixes, so the hash
+/// of the unit minus one coordinate is one subtraction.
+std::uint64_t coord_mix(DimId dim, BinId bin) {
+  std::uint64_t x = ((std::uint64_t{dim} << 8) | bin) + 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Fills mix[i] for each coordinate of `store`'s unit `u`; returns the
+/// unit's hash (their wrapping sum).
+std::uint64_t unit_mixes(const UnitStore& store, std::size_t u,
+                         std::uint64_t* mix) {
+  const auto dims = store.dims(u);
+  const auto bins = store.bins(u);
+  std::uint64_t h = 0;
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    mix[i] = coord_mix(dims[i], bins[i]);
+    h += mix[i];
+  }
+  return h;
+}
+
+/// True when unit `u` of `a` without its coordinate `du` equals unit `v` of
+/// `b` without its coordinate `dv` (both stores' units ascending by dim).
+/// `b` may hold units one coordinate shorter and drop none (dv = b.k()).
+bool same_without(const UnitStore& a, std::size_t u, std::size_t du,
+                  const UnitStore& b, std::size_t v, std::size_t dv) {
+  const auto ad = a.dims(u);
+  const auto ab = a.bins(u);
+  const auto bd = b.dims(v);
+  const auto bb = b.bins(v);
+  for (std::size_t t = 0, iu = 0, iv = 0; t + 1 < ad.size(); ++t, ++iu, ++iv) {
+    if (iu == du) ++iu;
+    if (iv == dv) ++iv;
+    if (ad[iu] != bd[iv] || ab[iu] != bb[iv]) return false;
+  }
+  return true;
+}
+
+/// Open-addressing slot count for `entries` keys at load factor ≤ 1/2.
+std::size_t table_slots(std::size_t entries) {
+  return std::bit_ceil(std::max<std::size_t>(2 * entries, 2));
+}
+
+/// Appends unit `a` of `dense` plus coordinate (y_dim, y_bin) — a dim `a`
+/// does not hold — to `out`, keeping dims ascending.
+void push_with(const UnitStore& dense, std::size_t a, DimId y_dim, BinId y_bin,
+               UnitStore& out) {
+  std::array<DimId, kMaxDims> dims;
+  std::array<BinId, kMaxDims> bins;
+  const auto ad = dense.dims(a);
+  const auto ab = dense.bins(a);
+  std::size_t o = 0;
+  std::size_t i = 0;
+  for (; i < ad.size() && ad[i] < y_dim; ++i, ++o) {
+    dims[o] = ad[i];
+    bins[o] = ab[i];
+  }
+  dims[o] = y_dim;
+  bins[o] = y_bin;
+  for (++o; i < ad.size(); ++i, ++o) {
+    dims[o] = ad[i];
+    bins[o] = ab[i];
+  }
+  out.push_unchecked(dims.data(), bins.data());
 }
 
 }  // namespace
@@ -99,7 +157,11 @@ bool try_join(const UnitStore& dense, std::size_t a, std::size_t b, JoinRule rul
   require(out.k() == dense.k() + 1, "try_join: output store has wrong k");
   std::array<DimId, kMaxDims> dims;
   std::array<BinId, kMaxDims> bins;
-  const bool ok = merge_pair(dense, a, b, rule, dims.data(), bins.data());
+  const bool ok = rule == JoinRule::MafiaAnyShared
+                      ? merge_mafia(dense.dims(a), dense.bins(a), dense.dims(b),
+                                    dense.bins(b), dims.data(), bins.data())
+                      : merge_clique(dense.dims(a), dense.bins(a), dense.dims(b),
+                                     dense.bins(b), dims.data(), bins.data());
   if (ok) out.push_unchecked(dims.data(), bins.data());
   return ok;
 }
@@ -141,179 +203,236 @@ JoinResult join_dense_units(const UnitStore& dense, JoinRule rule,
   return result;
 }
 
-// --------------------------------------------------------- bucketed kernel
+// ------------------------------------------------------ signature index
 
 JoinBucketIndex::JoinBucketIndex(const UnitStore& dense, JoinRule rule)
-    : dense_(&dense), rule_(rule) {
+    : dense_(&dense) {
   const std::size_t km1 = dense.k();
   const std::size_t n = dense.size();
-  // A sub-signature is km1−1 (dim, bin) pairs.  Under the MAFIA rule every
-  // unit contributes one entry per dropped dimension (km1 entries); under
-  // CLIQUE's prefix rule exactly one (its first km1−1 pairs).  km1 == 1
-  // degenerates to the empty signature: one global bucket, where the
-  // in-bucket pair loop IS the pairwise scan.
-  const std::size_t sig_pairs = km1 - 1;
-  const std::size_t per_unit = rule == JoinRule::MafiaAnyShared ? km1 : 1;
-  const std::size_t entries = n * per_unit;
-  entry_unit_.resize(entries);
-  if (entries == 0) {
-    bucket_begin_ = {0};
-    return;
-  }
+  // Under the MAFIA rule every unit carries one signature per dropped
+  // coordinate; under CLIQUE's prefix rule only the one dropping its last.
+  // km1 == 1 degenerates to the empty signature: one global bucket.
+  per_unit_ = rule == JoinRule::MafiaAnyShared ? km1 : 1;
+  const std::size_t entries = n * per_unit_;
+  require(entries < std::numeric_limits<std::uint32_t>::max(),
+          "JoinBucketIndex: too many signature entries");
+  unit_bucket_.resize(entries);
+  work_.assign(n, 0);
+  offsets_.assign(1, 0);
+  if (entries == 0) return;
 
-  const std::size_t sig_bytes = 2 * sig_pairs;
-  std::vector<std::size_t> boundaries;  // entry indices where a bucket starts
-  if (sig_bytes <= sizeof(std::uint64_t)) {
-    // Fast path: the signature packs into one integer, (dim, bin) bytes
-    // interleaved most-significant-first, so key order equals
-    // lexicographic signature-byte order.  Sorting
-    // (key, unit) pairs also sorts units ascending inside each bucket,
-    // which is what makes every in-bucket pair (lo, hi) with lo < hi.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
-    keyed.reserve(entries);
-    for (std::size_t u = 0; u < n; ++u) {
-      const auto dims = dense.dims(u);
-      const auto bins = dense.bins(u);
-      for (std::size_t drop = 0; drop < per_unit; ++drop) {
-        std::uint64_t key = 0;
-        if (rule_ == JoinRule::MafiaAnyShared) {
-          for (std::size_t i = 0; i < km1; ++i) {
-            if (i == drop) continue;
-            key = (key << 8) | static_cast<std::uint64_t>(dims[i]);
-            key = (key << 8) | static_cast<std::uint64_t>(bins[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < sig_pairs; ++i) {
-            key = (key << 8) | static_cast<std::uint64_t>(dims[i]);
-            key = (key << 8) | static_cast<std::uint64_t>(bins[i]);
-          }
+  // Bucket ids in order of first appearance.  A slot holds id + 1 (0 is
+  // empty); a bucket keeps its signature hash and its first member, which
+  // a colliding entry's content is compared against.
+  const std::size_t mask = table_slots(entries) - 1;
+  std::vector<std::uint32_t> slots(mask + 1, 0);
+  std::vector<std::uint64_t> bucket_hash;
+  std::vector<Member> bucket_rep;
+  std::vector<std::uint32_t> sizes;
+  std::array<std::uint64_t, kMaxDims> mix;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint64_t h = unit_mixes(dense, u, mix.data());
+    for (std::size_t s = 0; s < per_unit_; ++s) {
+      const std::size_t drop = drop_of(s);
+      const std::uint64_t sig = h - mix[drop];
+      std::size_t slot = sig & mask;
+      std::uint32_t id = 0;
+      while (true) {
+        if (slots[slot] == 0) {
+          id = static_cast<std::uint32_t>(bucket_hash.size());
+          slots[slot] = id + 1;
+          bucket_hash.push_back(sig);
+          bucket_rep.push_back({static_cast<std::uint32_t>(u),
+                                static_cast<std::uint32_t>(drop)});
+          sizes.push_back(0);
+          break;
         }
-        keyed.emplace_back(key, static_cast<std::uint32_t>(u));
-      }
-    }
-    std::sort(keyed.begin(), keyed.end());
-    for (std::size_t e = 0; e < entries; ++e) {
-      entry_unit_[e] = keyed[e].second;
-      if (e == 0 || keyed[e].first != keyed[e - 1].first) boundaries.push_back(e);
-    }
-  } else {
-    // Wide signatures (km1 > 5): keep the byte rows in a flat buffer and
-    // sort entry indices by memcmp, tiebreaking on the unit index so the
-    // in-bucket unit order matches the packed path.
-    std::vector<std::uint8_t> sig(entries * sig_bytes);
-    std::vector<std::uint32_t> owner(entries);
-    std::size_t e = 0;
-    for (std::size_t u = 0; u < n; ++u) {
-      const auto dims = dense.dims(u);
-      const auto bins = dense.bins(u);
-      for (std::size_t drop = 0; drop < per_unit; ++drop, ++e) {
-        std::uint8_t* row = sig.data() + e * sig_bytes;
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < km1 && at < sig_bytes; ++i) {
-          if (rule_ == JoinRule::MafiaAnyShared && i == drop) continue;
-          row[at++] = static_cast<std::uint8_t>(dims[i]);
-          row[at++] = static_cast<std::uint8_t>(bins[i]);
+        id = slots[slot] - 1;
+        if (bucket_hash[id] == sig &&
+            same_without(dense, u, drop, dense, bucket_rep[id].unit,
+                         bucket_rep[id].drop)) {
+          break;
         }
-        owner[e] = static_cast<std::uint32_t>(u);
+        slot = (slot + 1) & mask;
       }
-    }
-    std::vector<std::uint32_t> order(entries);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const int c = std::memcmp(sig.data() + a * sig_bytes,
-                                          sig.data() + b * sig_bytes, sig_bytes);
-                if (c != 0) return c < 0;
-                return owner[a] < owner[b];
-              });
-    for (std::size_t i = 0; i < entries; ++i) {
-      entry_unit_[i] = owner[order[i]];
-      if (i == 0 || std::memcmp(sig.data() + order[i] * sig_bytes,
-                                sig.data() + order[i - 1] * sig_bytes,
-                                sig_bytes) != 0) {
-        boundaries.push_back(i);
-      }
+      unit_bucket_[u * per_unit_ + s] = id;
+      ++sizes[id];
     }
   }
 
-  bucket_begin_ = std::move(boundaries);
-  bucket_begin_.push_back(entries);
-  work_.resize(bucket_begin_.size() - 1);
-  for (std::size_t b = 0; b + 1 < bucket_begin_.size(); ++b) {
-    const std::uint64_t c = bucket_begin_[b + 1] - bucket_begin_[b];
-    work_[b] = c * (c - 1) / 2;
+  // CSR layout; filling in unit order keeps each bucket's members
+  // ascending.  The sizes become the fill cursors.
+  offsets_.resize(sizes.size() + 1);
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    offsets_[b + 1] = offsets_[b] + sizes[b];
+    sizes[b] = offsets_[b];
+  }
+  members_.resize(entries);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t s = 0; s < per_unit_; ++s) {
+      const std::uint32_t b = unit_bucket_[u * per_unit_ + s];
+      members_[sizes[b]++] = {static_cast<std::uint32_t>(u),
+                              static_cast<std::uint32_t>(drop_of(s))};
+      work_[u] += offsets_[b + 1] - offsets_[b] - 1;
+    }
   }
 }
 
-JoinResult JoinBucketIndex::join_range(std::size_t bucket_begin,
-                                       std::size_t bucket_end) const {
-  require(bucket_begin <= bucket_end && bucket_end <= num_buckets(),
-          "JoinBucketIndex::join_range: bad bucket range");
+void JoinBucketIndex::partners_of(std::size_t a, std::vector<Partner>& out,
+                                  JoinStats& stats) const {
   const UnitStore& dense = *dense_;
-  const std::size_t k = dense.k() + 1;
-
-  JoinResult result;
-  result.cdus = UnitStore(k);
-  result.combined.assign(dense.size(), 0);
-  result.stats.buckets = bucket_end - bucket_begin;
-
-  std::array<DimId, kMaxDims> dims;
-  std::array<BinId, kMaxDims> bins;
-  for (std::size_t b = bucket_begin; b < bucket_end; ++b) {
-    const std::size_t begin = bucket_begin_[b];
-    const std::size_t end = bucket_begin_[b + 1];
-    for (std::size_t ei = begin; ei < end; ++ei) {
-      const std::size_t lo = entry_unit_[ei];
-      for (std::size_t ej = ei + 1; ej < end; ++ej) {
-        const std::size_t hi = entry_unit_[ej];
-        ++result.stats.probes;
-        if (merge_pair(dense, lo, hi, rule_, dims.data(), bins.data())) {
-          result.cdus.push_unchecked(dims.data(), bins.data());
-          result.parents.emplace_back(static_cast<std::uint32_t>(lo),
-                                      static_cast<std::uint32_t>(hi));
-          result.combined[lo] = 1;
-          result.combined[hi] = 1;
-          ++result.stats.emitted;
-        }
-      }
+  out.clear();
+  const auto a_dims = dense.dims(a);
+  for (std::size_t s = 0; s < per_unit_; ++s) {
+    const DimId dropped = a_dims[drop_of(s)];
+    const std::uint32_t b = unit_bucket_[a * per_unit_ + s];
+    stats.buckets += members_[offsets_[b]].unit == a;
+    for (std::uint32_t i = offsets_[b]; i < offsets_[b + 1]; ++i) {
+      const Member& m = members_[i];
+      stats.probes += m.unit > a;
+      // A member whose extra coordinate lies on the dim `a` dropped holds
+      // a's dims with another bin there (or is a itself): never joins.
+      const DimId y_dim = dense.dims(m.unit)[m.drop];
+      if (y_dim == dropped) continue;
+      out.push_back({(std::uint32_t{y_dim} << 8) | dense.bins(m.unit)[m.drop],
+                     m.unit});
     }
   }
+}
+
+JoinResult JoinBucketIndex::join_unique(std::size_t unit_begin,
+                                        std::size_t unit_end) const {
+  const UnitStore& dense = *dense_;
+  require(unit_begin <= unit_end && unit_end <= dense.size(),
+          "JoinBucketIndex::join_unique: bad unit range");
+  JoinResult result;
+  result.cdus = UnitStore(dense.k() + 1);
+  result.combined.assign(dense.size(), 0);
+
+  // Per unit a: its partners; a grouping table sized to their count that
+  // maps each extra coordinate y to its group's lowest unit, as
+  // (y + 1) << 32 | unit (0 = empty); and the candidates a emits, as
+  // (second-lowest face) << 16 | y.
+  std::vector<Partner> partners;
+  std::vector<std::uint64_t> group;
+  std::vector<std::uint64_t> firsts;
+  for (std::size_t a = unit_begin; a < unit_end; ++a) {
+    partners_of(a, partners, result.stats);
+    if (partners.empty()) continue;
+    result.combined[a] = 1;
+    firsts.clear();
+    for (const Partner& pt : partners) result.stats.emitted += pt.unit > a;
+    if (per_unit_ == 1) {
+      // One bucket: every group is a single member, already ascending.
+      for (const Partner& pt : partners) {
+        if (pt.unit > a) firsts.push_back(std::uint64_t{pt.unit} << 16 | pt.y);
+      }
+    } else {
+      const std::size_t slots = table_slots(partners.size());
+      const std::size_t mask = slots - 1;
+      const int shift = 64 - std::countr_zero(slots);
+      group.assign(slots, 0);
+      for (const Partner& pt : partners) {
+        std::size_t slot = (pt.y * 0x9e3779b97f4a7c15ull) >> shift;
+        while (group[slot] != 0 && (group[slot] >> 32) != pt.y + 1) {
+          slot = (slot + 1) & mask;
+        }
+        if (group[slot] == 0 ||
+            pt.unit < static_cast<std::uint32_t>(group[slot])) {
+          group[slot] = (std::uint64_t{pt.y} + 1) << 32 | pt.unit;
+        }
+      }
+      for (const std::uint64_t g : group) {
+        const auto lowest = static_cast<std::uint32_t>(g);
+        if (g != 0 && lowest > a) {
+          firsts.push_back(std::uint64_t{lowest} << 16 | ((g >> 32) - 1));
+        }
+      }
+      std::sort(firsts.begin(), firsts.end());
+    }
+    for (const std::uint64_t f : firsts) {
+      push_with(dense, a, static_cast<DimId>(f >> 8), static_cast<BinId>(f),
+                result.cdus);
+    }
+  }
+  result.stats.repeats_fused = result.stats.emitted - result.cdus.size();
   return result;
 }
 
-void sort_cdus_by_parents(
-    UnitStore& raw,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& parents) {
-  require(parents.size() == raw.size(),
-          "sort_cdus_by_parents: parents/store size mismatch");
-  const std::size_t n = raw.size();
-  if (n < 2) return;
-  const auto packed = [&parents](std::size_t i) {
-    return (static_cast<std::uint64_t>(parents[i].first) << 32) |
-           parents[i].second;
-  };
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return packed(a) < packed(b); });
+JoinResult JoinBucketIndex::join_raw(std::size_t unit_begin,
+                                     std::size_t unit_end) const {
+  const UnitStore& dense = *dense_;
+  require(unit_begin <= unit_end && unit_end <= dense.size(),
+          "JoinBucketIndex::join_raw: bad unit range");
+  JoinResult result;
+  result.cdus = UnitStore(dense.k() + 1);
+  result.combined.assign(dense.size(), 0);
 
-  UnitStore sorted(raw.k());
-  sorted.reserve(n);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_parents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t from = order[i];
-    sorted.push_unchecked(raw.dims(from).data(), raw.bins(from).data());
-    sorted_parents[i] = parents[from];
+  std::vector<Partner> partners;
+  for (std::size_t a = unit_begin; a < unit_end; ++a) {
+    partners_of(a, partners, result.stats);
+    std::erase_if(partners, [a](const Partner& pt) { return pt.unit <= a; });
+    // A unit meets each partner in one bucket only, so ascending unit
+    // order is the pairwise scan's order for row a.
+    std::sort(partners.begin(), partners.end(),
+              [](const Partner& x, const Partner& y) { return x.unit < y.unit; });
+    for (const Partner& pt : partners) {
+      push_with(dense, a, static_cast<DimId>(pt.y >> 8),
+                static_cast<BinId>(pt.y), result.cdus);
+      result.parents.emplace_back(static_cast<std::uint32_t>(a), pt.unit);
+      result.combined[a] = 1;
+      result.combined[pt.unit] = 1;
+    }
+    result.stats.emitted += partners.size();
   }
-  raw = std::move(sorted);
-  parents = std::move(sorted_parents);
+  return result;
 }
 
 JoinResult bucket_join_dense_units(const UnitStore& dense, JoinRule rule) {
   const JoinBucketIndex index(dense, rule);
-  JoinResult result = index.join_range(0, index.num_buckets());
-  sort_cdus_by_parents(result.cdus, result.parents);
-  return result;
+  return index.join_raw(0, dense.size());
+}
+
+std::vector<std::uint8_t> mark_dense_parents(const UnitStore& dense,
+                                             const UnitStore& cdus,
+                                             std::span<const std::uint8_t> flags,
+                                             JoinRule rule) {
+  require(cdus.k() == dense.k() + 1 && flags.size() == cdus.size(),
+          "mark_dense_parents: candidates do not match the dense store");
+  std::vector<std::uint8_t> marked(dense.size(), 0);
+  if (dense.empty()) return marked;
+
+  // Content -> index lookup over the dense units, keyed by the additive
+  // unit hash, so a candidate's face hashes in one subtraction.
+  const std::size_t mask = table_slots(dense.size()) - 1;
+  std::vector<std::uint32_t> slots(mask + 1, 0);  // index + 1; 0 = empty
+  std::vector<std::uint64_t> hashes(dense.size());
+  std::array<std::uint64_t, kMaxDims> mix;
+  for (std::size_t u = 0; u < dense.size(); ++u) {
+    hashes[u] = unit_mixes(dense, u, mix.data());
+    std::size_t slot = hashes[u] & mask;
+    while (slots[slot] != 0) slot = (slot + 1) & mask;
+    slots[slot] = static_cast<std::uint32_t>(u + 1);
+  }
+
+  const std::size_t k = cdus.k();
+  const std::size_t first_face = rule == JoinRule::MafiaAnyShared ? 0 : k - 2;
+  for (std::size_t c = 0; c < cdus.size(); ++c) {
+    if (!flags[c]) continue;
+    const std::uint64_t h = unit_mixes(cdus, c, mix.data());
+    for (std::size_t z = first_face; z < k; ++z) {
+      const std::uint64_t face = h - mix[z];
+      for (std::size_t slot = face & mask; slots[slot] != 0;
+           slot = (slot + 1) & mask) {
+        const std::size_t u = slots[slot] - 1;
+        if (hashes[u] == face && same_without(cdus, c, z, dense, u, k - 1)) {
+          marked[u] = 1;
+          break;
+        }
+      }
+    }
+  }
+  return marked;
 }
 
 }  // namespace mafia

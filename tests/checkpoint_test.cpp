@@ -73,18 +73,22 @@ class ScratchDir {
   std::string path_;
 };
 
-/// A level record with every field set; `level` picks its level.
+/// A level record with every field set; `level` (1 or 2) picks its level
+/// and its candidates' dimensionality.  The candidates fit
+/// sample_state()'s grids: dims 0 and 1, two bins each.
 LevelRecord sample_record(std::uint64_t level) {
   LevelRecord rec;
   rec.level = level;
-  const DimId d01[] = {0, 1};
-  const BinId b01[] = {2, 3};
-  const BinId b11[] = {1, 1};
-  rec.cdus = UnitStore(2);
-  rec.cdus.push(d01, b01);
-  rec.cdus.push(d01, b11);
-  rec.parents = {{0, 1}, {1, 0}};
-  rec.raw_to_unique = {0, 1};
+  rec.cdus = UnitStore(level);
+  for (std::size_t u = 0; u < 2; ++u) {
+    std::vector<DimId> dims;
+    std::vector<BinId> bins;
+    for (std::size_t i = 0; i < level; ++i) {
+      dims.push_back(static_cast<DimId>(level == 1 ? u : i));
+      bins.push_back(static_cast<BinId>((u + i) % 2));
+    }
+    rec.cdus.push(dims, bins);
+  }
   rec.pending_raw_count = 12;
   rec.pending_join = JoinStats{4, 9, 3, 1};
   rec.pending_join_kernel = 2;
@@ -101,18 +105,20 @@ CheckpointState sample_state() {
   CheckpointState state;
   state.fingerprint = 0xabcdef0123456789ull;
   state.num_records = 4000;
-  state.num_dims = 1;
+  state.num_dims = 2;
 
-  DimensionGrid g;
-  g.dim = 0;
-  g.domain_lo = 0.0f;
-  g.domain_hi = 100.0f;
-  g.edges = {0.0f, 50.0f, 100.0f};
-  g.thresholds = {12.5, 30.0};
-  g.uniform_fallback = true;
-  state.grids.dims.push_back(g);
-  state.domain_lo = {0.0f};
-  state.domain_hi = {100.0f};
+  for (const DimId dim : {DimId{0}, DimId{1}}) {
+    DimensionGrid g;
+    g.dim = dim;
+    g.domain_lo = 0.0f;
+    g.domain_hi = 100.0f;
+    g.edges = {0.0f, 50.0f, 100.0f};
+    g.thresholds = {12.5, 30.0};
+    g.uniform_fallback = true;
+    state.grids.dims.push_back(g);
+  }
+  state.domain_lo = {0.0f, 0.0f};
+  state.domain_hi = {100.0f, 100.0f};
   state.hist_counts = {1000, 0, 2500, 500};
 
   state.records.push_back(sample_record(1));
@@ -130,7 +136,7 @@ TEST(CheckpointFormat, SerializeRoundTrip) {
   EXPECT_EQ(out.fingerprint, in.fingerprint);
   EXPECT_EQ(out.num_records, in.num_records);
   EXPECT_EQ(out.num_dims, in.num_dims);
-  ASSERT_EQ(out.grids.num_dims(), 1u);
+  ASSERT_EQ(out.grids.num_dims(), 2u);
   EXPECT_EQ(out.grids[0].edges, in.grids[0].edges);
   EXPECT_EQ(out.grids[0].thresholds, in.grids[0].thresholds);
   EXPECT_TRUE(out.grids[0].uniform_fallback);
@@ -145,8 +151,6 @@ TEST(CheckpointFormat, SerializeRoundTrip) {
     EXPECT_EQ(a.cdus.k(), b.cdus.k());
     EXPECT_EQ(a.cdus.dim_bytes(), b.cdus.dim_bytes());
     EXPECT_EQ(a.cdus.bin_bytes(), b.cdus.bin_bytes());
-    EXPECT_EQ(a.parents, b.parents);
-    EXPECT_EQ(a.raw_to_unique, b.raw_to_unique);
     EXPECT_EQ(a.pending_raw_count, b.pending_raw_count);
     EXPECT_EQ(a.pending_join.buckets, b.pending_join.buckets);
     EXPECT_EQ(a.pending_join.probes, b.pending_join.probes);
@@ -301,7 +305,7 @@ TEST(CheckpointFormat, FinalFileHoldsEveryRecordOnce) {
         deserialize_checkpoint(bytes.data(), bytes.size());
     ASSERT_EQ(file.records.size(), 1u);
     EXPECT_EQ(file.records[0].level, level - 1);
-    EXPECT_EQ(file.grids.num_dims(), level == 2 ? 1u : 0u);
+    EXPECT_EQ(file.grids.num_dims(), level == 2 ? 2u : 0u);
     EXPECT_EQ(file.hist_counts.empty(), level != 2);
   }
 }
@@ -314,41 +318,35 @@ CheckpointState read_checkpoint(const std::string& path) {
   return deserialize_checkpoint(bytes.data(), bytes.size());
 }
 
-/// Dense units of a level record: its set flags.
-std::size_t dense_units(const LevelRecord& rec) {
-  return static_cast<std::size_t>(
-      std::count_if(rec.flags.begin(), rec.flags.end(),
-                    [](std::uint8_t f) { return f != 0; }));
-}
-
-/// Breaks one replay index of `rec`, a record past level 1 whose previous
-/// level has `prev_dense` dense units, in one of kReplayIndexBreaks ways
-/// no writer produces: a far-out parent (the replay's marked[] write), a
-/// parent just past the dense units, a dedup entry past the candidates
-/// (the replay's flags[] read), a dedup map one entry short.
-constexpr int kReplayIndexBreaks = 4;
-void break_replay_index(LevelRecord& rec, std::size_t prev_dense, int how) {
+/// Breaks the first candidate of `rec`, a record past level 1, in one of
+/// kCandidateBreaks ways no writer produces: a bin past its dimension's
+/// bins (identify would read past the thresholds), a dim past the data's
+/// dimensions, and dims out of ascending order.
+constexpr int kCandidateBreaks = 3;
+void break_candidate(LevelRecord& rec, int how) {
+  std::vector<DimId> dims(rec.cdus.dim_bytes());
+  std::vector<BinId> bins(rec.cdus.bin_bytes());
   switch (how) {
     case 0:
-      rec.parents.front().first = 0x7fffffffu;
+      bins[0] = 255;
       break;
     case 1:
-      rec.parents.back().second = static_cast<std::uint32_t>(prev_dense);
-      break;
-    case 2:
-      rec.raw_to_unique.front() = static_cast<std::uint32_t>(rec.cdus.size());
+      dims[rec.cdus.k() - 1] = 255;
       break;
     default:
-      rec.raw_to_unique.pop_back();
+      std::swap(dims[0], dims[1]);
+      std::swap(bins[0], bins[1]);
       break;
   }
+  rec.cdus = UnitStore::from_bytes(rec.cdus.k(), std::move(dims),
+                                   std::move(bins));
 }
 
-TEST(CheckpointFormat, FinalFileWithOutOfRangeReplayIndicesIsDiscarded) {
-  // A real final checkpoint with one replay index broken and the CRC
-  // recomputed by the writer: the CRC cannot tell, so the loader must
-  // discard the file, and an append on it is an input error instead of an
-  // out-of-range access in the replay.
+TEST(CheckpointFormat, FinalFileWithOutOfRangeCandidatesIsDiscarded) {
+  // A real final checkpoint with its first level-2 candidate broken and
+  // the CRC recomputed by the writer: the CRC cannot tell, so the loader
+  // must discard the file, and an append on it is an input error instead
+  // of an out-of-range read in the replay.
   ScratchDir dir("mafia_ckpt_crafted_final");
   const Dataset base = planted_data();
   MafiaOptions options = base_options();
@@ -360,8 +358,7 @@ TEST(CheckpointFormat, FinalFileWithOutOfRangeReplayIndicesIsDiscarded) {
   const CheckpointScan real = load_final_checkpoint(dir.path(), 0);
   ASSERT_TRUE(real.state.has_value());
   ASSERT_GE(real.state->records.size(), 2u);
-  ASSERT_FALSE(real.state->records[1].parents.empty());
-  const std::size_t prev_dense = dense_units(real.state->records[0]);
+  ASSERT_FALSE(real.state->records[1].cdus.empty());
 
   Dataset all(base.num_dims());
   all.append_rows(base);
@@ -370,9 +367,9 @@ TEST(CheckpointFormat, FinalFileWithOutOfRangeReplayIndicesIsDiscarded) {
   MafiaOptions append = options;
   append.append = AppendConfig{static_cast<std::uint64_t>(base.num_records())};
 
-  for (int how = 0; how < kReplayIndexBreaks; ++how) {
+  for (int how = 0; how < kCandidateBreaks; ++how) {
     CheckpointState crafted = *real.state;
-    break_replay_index(crafted.records[1], prev_dense, how);
+    break_candidate(crafted.records[1], how);
     write_final_checkpoint(dir.path(), crafted);
     const CheckpointScan scan = load_final_checkpoint(dir.path(), 0);
     EXPECT_FALSE(scan.state.has_value()) << "break " << how;
@@ -382,7 +379,7 @@ TEST(CheckpointFormat, FinalFileWithOutOfRangeReplayIndicesIsDiscarded) {
   }
 }
 
-TEST(CheckpointFormat, LevelFileWithOutOfRangeReplayIndicesEndsTheChain) {
+TEST(CheckpointFormat, LevelFileWithOutOfRangeCandidatesEndsTheChain) {
   // The same breaks in a real level file (level 2's record, CRC
   // recomputed): the chain ends before it, and a resume reruns from level
   // 2 and reproduces the uninterrupted run.
@@ -397,18 +394,16 @@ TEST(CheckpointFormat, LevelFileWithOutOfRangeReplayIndicesEndsTheChain) {
     ++level_files;
   }
   ASSERT_GE(level_files, 2u);
-  const CheckpointState first =
-      read_checkpoint(checkpoint_file_path(dir.path(), 2));
   const CheckpointState real =
       read_checkpoint(checkpoint_file_path(dir.path(), 3));
   ASSERT_EQ(real.records.size(), 1u);
-  ASSERT_FALSE(real.records[0].parents.empty());
+  ASSERT_FALSE(real.records[0].cdus.empty());
 
   MafiaOptions resume = options;
   resume.checkpoint.resume = true;
-  for (int how = 0; how < kReplayIndexBreaks; ++how) {
+  for (int how = 0; how < kCandidateBreaks; ++how) {
     CheckpointState crafted = real;
-    break_replay_index(crafted.records[0], dense_units(first.records[0]), how);
+    break_candidate(crafted.records[0], how);
     write_checkpoint_file(dir.path(), crafted);
     const CheckpointScan scan =
         load_latest_checkpoint(dir.path(), real.fingerprint);
@@ -678,12 +673,14 @@ TEST(ResourceBudget, ResourceErrorNamesTheOffendingComponent) {
 }
 
 TEST(ResourceBudget, JoinBucketIndexEstimateCountsOneEntryPerDroppedDim) {
-  // The bucket index stores (sub-signature hash, unit, bucket-key) entries:
-  // one per unit under the prefix rule, one per dropped dimension (= k
-  // entries for a k-dim store) under MAFIA's any-shared rule.  The budget
-  // guard relies on this arithmetic; pin it.
-  constexpr std::size_t kPerEntry =
-      sizeof(std::uint32_t) + sizeof(std::size_t) + sizeof(std::uint64_t);
+  // The signature index holds one entry per unit under the prefix rule and
+  // one per dropped dimension (= k entries for a k-dim store) under MAFIA's
+  // any-shared rule.  Each entry is charged its member (unit, dropped
+  // position) and bucket id, at most one bucket (offset, fill cursor,
+  // representative member, signature hash), at most four hash-table slots
+  // and at most one unit-work counter.  The budget guard relies on this
+  // arithmetic; pin it.
+  constexpr std::size_t kPerEntry = 8 + 4 + (4 + 4 + 8 + 8) + 4 * 4 + 8;
   EXPECT_EQ(JoinBucketIndex::estimate_bytes(10, 3, JoinRule::MafiaAnyShared),
             10 * 3 * kPerEntry);
   EXPECT_EQ(JoinBucketIndex::estimate_bytes(10, 3, JoinRule::CliquePrefix),

@@ -427,6 +427,44 @@ TEST(Core, RunTraceGlobalizesPhasesAndComm) {
   EXPECT_GT(r.comm.comm_seconds, 0.0);
 }
 
+TEST(Core, JoinCommunicatesOnlyUniqueCandidates) {
+  // One 7-d cluster: a k-dim candidate has k dense faces, so the pairwise
+  // join emits it k(k−1)/2 times.  The default join still moves only the
+  // unique candidates: at p = 2 each of the dim and bin arrays (T = k bytes
+  // per candidate) is gathered (T plus rank 1's share) and broadcast (2T),
+  // and every join adds the fixed allreduce payloads — four work counters
+  // and one combined flag per dense unit, from each rank.  No dedup phase
+  // runs.
+  const GeneratorConfig cfg = workloads::tab2_cdu_counts(40000);
+  const Dataset data = generate(cfg);
+  InMemorySource source(data);
+  MafiaOptions options = default_options();
+  options.tau = 0;  // every join runs task-parallel
+  const MafiaResult r = run_pmafia(source, options, 2);
+
+  const std::vector<std::string> phases = r.trace.phase_names();
+  EXPECT_EQ(std::count(phases.begin(), phases.end(), "dedup"), 0);
+  EXPECT_EQ(r.phases.get("dedup"), 0.0);
+
+  std::uint64_t raw = 0;
+  std::uint64_t unique = 0;
+  std::uint64_t unique_bytes = 0;  // T summed over the joins
+  std::uint64_t fixed = 0;
+  for (const LevelTrace& t : r.levels) {
+    if (t.level > 1) {
+      raw += t.ncdu_raw;
+      unique += t.ncdu;
+      unique_bytes += t.level * t.ncdu;
+    }
+    // A join follows every level that found dense units.
+    if (t.ndu > 0) fixed += 2 * (4 * sizeof(std::uint64_t) + t.ndu);
+  }
+  ASSERT_GT(raw, 2 * unique) << "the instance must be repeat-heavy";
+  const std::uint64_t join = r.trace.phase_comm("join").collective_bytes;
+  EXPECT_GE(join, fixed + 2 * 3 * unique_bytes);
+  EXPECT_LE(join, fixed + 2 * 4 * unique_bytes);
+}
+
 TEST(Core, SerialRunHasOnlyDegenerateCommunication) {
   GeneratorConfig cfg;
   cfg.num_dims = 5;

@@ -1,12 +1,15 @@
 // Oracle-differential suite for the bucketed join kernel: the paper's
-// pairwise triangular scan is the oracle, and the bucket-indexed kernel
-// must reproduce its raw CDU sequence bit for bit — parents, combined
-// flags, dedup outcome and all — on adversarial stores (single-bucket
-// degenerate k−1 = 1, the packed-key fast path and its 8-byte boundary,
-// the wide memcmp signature path, boundary bin values, duplicate units,
-// repeat-heavy joins) and end-to-end through run_pmafia at every rank
-// count, where the two kernels must yield identical clusters, level
-// traces, and populate-count checksums.
+// pairwise triangular scan (plus dedup_hash, Algorithm 4's engineering
+// path) is the oracle.  The signature index's raw walk must reproduce the
+// pairwise raw CDU sequence bit for bit — parents and combined flags
+// included — and its canonical walk must reproduce pairwise join + dedup:
+// the unique candidates in their order, the joining-pair count and the
+// combined flags, serially and as the rank-order concatenation of unit
+// ranges.  Instances are adversarial stores (single-bucket degenerate
+// k−1 = 1, short and wide signatures, boundary bin values, duplicate units,
+// repeat-heavy joins); end to end, run_pmafia under both kernels must
+// yield identical clusters, level traces, and populate-count checksums at
+// every rank count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "clique/clique.hpp"
+#include "cluster/assembly.hpp"
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
 #include "io/data_source.hpp"
@@ -21,7 +26,9 @@
 #include "rng/icg.hpp"
 #include "taskpart/taskpart.hpp"
 #include "units/dedup.hpp"
+#include "units/identify.hpp"
 #include "units/join.hpp"
+#include "units/populate.hpp"
 #include "units/unit_store.hpp"
 
 namespace mafia {
@@ -37,19 +44,46 @@ UnitStore make_store(std::size_t k,
   return s;
 }
 
-/// The core differential check: pairwise oracle vs bucketed kernel, full
-/// serial join plus every rank-partitioned execution at p in {2, 3, 5, 8},
-/// for both join rules.  Everything observable must agree: the raw CDU
-/// byte sequence, parent pairs, combined flags, emission count, and the
-/// dedup pass over the raw sequence (unique store, raw→unique map, repeat
-/// count).  Bucketed probes never exceed pairwise probes — except when the
-/// store holds duplicate units: a duplicated unit pair shares all k−1
-/// sub-signatures, so the bucketed kernel probes it once per bucket it
-/// meets in (each probe fails to merge, so output is unaffected), while
-/// pairwise probes every pair exactly once.  Callers with duplicate-heavy
-/// stores pass expect_fewer_probes = false.
+/// Rank-order concatenation of a walk over the unit ranges of a weight-
+/// balanced partition of `index` at `p` ranks: the merged CDUs, parents,
+/// OR of the combined flags, and summed counters.
+template <typename Walk>
+JoinResult concat_ranges(const JoinBucketIndex& index, std::size_t n,
+                         std::size_t k, std::size_t p, Walk walk) {
+  JoinResult merged;
+  merged.cdus = UnitStore(k);
+  merged.combined.assign(n, 0);
+  const auto bounds = weight_balanced_partition(index.unit_work(), p);
+  for (std::size_t r = 0; r < p; ++r) {
+    const JoinResult part = walk(bounds[r], bounds[r + 1]);
+    merged.cdus.append(part.cdus);
+    merged.parents.insert(merged.parents.end(), part.parents.begin(),
+                          part.parents.end());
+    for (std::size_t u = 0; u < n; ++u) merged.combined[u] |= part.combined[u];
+    merged.stats.buckets += part.stats.buckets;
+    merged.stats.probes += part.stats.probes;
+    merged.stats.emitted += part.stats.emitted;
+    merged.stats.repeats_fused += part.stats.repeats_fused;
+  }
+  return merged;
+}
+
+/// The core differential check, for both join rules: the raw walk against
+/// the pairwise oracle (raw CDU byte sequence, parents, combined flags,
+/// emission count), then the canonical walk against pairwise + dedup_hash
+/// (unique bytes in order, joining-pair count, repeats, combined flags) —
+/// each serially and as the rank-order concatenation of unit ranges at p
+/// in {2, 3, 5, 8}.  Raw-walk probes never exceed pairwise probes — except
+/// when the store holds duplicate units: a duplicated unit pair shares all
+/// k−1 signatures, so the raw walk probes it once per bucket it meets in
+/// (each probe fails to merge, so output is unaffected), while pairwise
+/// probes every pair exactly once.  Callers with duplicate-heavy stores
+/// pass expect_fewer_probes = false.  The canonical walk assumes what the
+/// driver guarantees, a store without duplicate units, so it runs on the
+/// instance with its duplicates removed.
 void expect_kernels_identical(const UnitStore& dense,
                               bool expect_fewer_probes = true) {
+  const std::size_t k = dense.k() + 1;
   for (const JoinRule rule :
        {JoinRule::MafiaAnyShared, JoinRule::CliquePrefix}) {
     const JoinResult pw = join_dense_units(dense, rule);
@@ -73,28 +107,52 @@ void expect_kernels_identical(const UnitStore& dense,
     EXPECT_EQ(dbk.raw_to_unique, dpw.raw_to_unique) << rname;
     EXPECT_EQ(dbk.num_repeats, dpw.num_repeats) << rname;
 
-    // Rank-partitioned bucketed execution: concatenated range outputs,
-    // parent-sorted, must equal the oracle at every rank count.
+    // Rank-partitioned raw walk: unit ranges concatenated in rank order,
+    // with no sort, must equal the oracle at every rank count.
     const JoinBucketIndex index(dense, rule);
     for (const std::size_t p : {2u, 3u, 5u, 8u}) {
-      const auto bounds = weight_balanced_partition(index.bucket_work(), p);
-      UnitStore merged(dense.k() + 1);
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
-      std::uint64_t buckets = 0;
-      for (std::size_t r = 0; r < p; ++r) {
-        const JoinResult part = index.join_range(bounds[r], bounds[r + 1]);
-        merged.append(part.cdus);
-        parents.insert(parents.end(), part.parents.begin(),
-                       part.parents.end());
-        buckets += part.stats.buckets;
-      }
-      EXPECT_EQ(buckets, index.num_buckets()) << rname << " p=" << p;
-      sort_cdus_by_parents(merged, parents);
-      ASSERT_EQ(merged.dim_bytes(), pw.cdus.dim_bytes())
+      const JoinResult merged = concat_ranges(
+          index, dense.size(), k, p, [&index](std::size_t b, std::size_t e) {
+            return index.join_raw(b, e);
+          });
+      EXPECT_EQ(merged.stats.buckets, index.num_buckets())
           << rname << " p=" << p;
-      ASSERT_EQ(merged.bin_bytes(), pw.cdus.bin_bytes())
+      ASSERT_EQ(merged.cdus.dim_bytes(), pw.cdus.dim_bytes())
           << rname << " p=" << p;
-      EXPECT_EQ(parents, pw.parents) << rname << " p=" << p;
+      ASSERT_EQ(merged.cdus.bin_bytes(), pw.cdus.bin_bytes())
+          << rname << " p=" << p;
+      EXPECT_EQ(merged.parents, pw.parents) << rname << " p=" << p;
+      EXPECT_EQ(merged.combined, pw.combined) << rname << " p=" << p;
+    }
+
+    // The canonical walk against pairwise join + dedup on the instance
+    // without duplicate units.
+    const UnitStore distinct = dedup_hash(dense).unique;
+    const JoinResult opw = join_dense_units(distinct, rule);
+    const DedupResult oracle = dedup_hash(opw.cdus);
+    const JoinBucketIndex dindex(distinct, rule);
+    std::vector<std::pair<std::size_t, JoinResult>> walks;
+    walks.emplace_back(1, dindex.join_unique(0, distinct.size()));
+    for (const std::size_t p : {2u, 3u, 5u, 8u}) {
+      walks.emplace_back(
+          p, concat_ranges(dindex, distinct.size(), k, p,
+                           [&dindex](std::size_t b, std::size_t e) {
+                             return dindex.join_unique(b, e);
+                           }));
+    }
+    for (const auto& [p, cw] : walks) {
+      ASSERT_EQ(cw.cdus.k(), k) << rname << " p=" << p;
+      ASSERT_EQ(cw.cdus.dim_bytes(), oracle.unique.dim_bytes())
+          << rname << " p=" << p;
+      ASSERT_EQ(cw.cdus.bin_bytes(), oracle.unique.bin_bytes())
+          << rname << " p=" << p;
+      EXPECT_TRUE(cw.parents.empty()) << rname << " p=" << p;
+      EXPECT_EQ(cw.stats.emitted, opw.stats.emitted) << rname << " p=" << p;
+      EXPECT_EQ(cw.stats.repeats_fused, oracle.num_repeats)
+          << rname << " p=" << p;
+      EXPECT_EQ(cw.combined, opw.combined) << rname << " p=" << p;
+      EXPECT_EQ(cw.stats.buckets, dindex.num_buckets()) << rname << " p=" << p;
+      EXPECT_LE(cw.stats.probes, opw.stats.probes) << rname << " p=" << p;
     }
   }
 }
@@ -267,65 +325,71 @@ TEST(JoinDifferential, EndToEndKernelsAgreeAcrossRankCounts) {
   // default must match it — clusters, per-level raw/unique/dense counts,
   // emissions, and the populate-count checksum (which hashes the full
   // globalized count vector, so any reordering or divergence in the unique
-  // CDU sets fails here) — at every rank count.
+  // CDU sets fails here) — at every rank count, under both join rules.
   const Dataset data = differential_data();
   InMemorySource source(data);
 
-  MafiaOptions pairwise;
-  pairwise.fixed_domain = {{0.0f, 100.0f}};
-  pairwise.tau = 2;  // engage every task-parallel phase
-  pairwise.join.kernel = JoinKernel::Pairwise;
-  MafiaOptions bucketed = pairwise;
-  bucketed.join.kernel = JoinKernel::Bucketed;
+  for (const JoinRule rule :
+       {JoinRule::MafiaAnyShared, JoinRule::CliquePrefix}) {
+    SCOPED_TRACE(rule == JoinRule::MafiaAnyShared ? "mafia" : "clique");
+    MafiaOptions pairwise;
+    pairwise.fixed_domain = {{0.0f, 100.0f}};
+    pairwise.tau = 2;  // engage every task-parallel phase
+    pairwise.join_rule = rule;
+    pairwise.join.kernel = JoinKernel::Pairwise;
+    MafiaOptions bucketed = pairwise;
+    bucketed.join.kernel = JoinKernel::Bucketed;
 
-  const MafiaResult oracle = run_pmafia(source, pairwise, 1);
-  const auto oracle_sig = signature(oracle);
-  ASSERT_GT(oracle.levels.size(), 2u);
+    const MafiaResult oracle = run_pmafia(source, pairwise, 1);
+    const auto oracle_sig = signature(oracle);
+    ASSERT_GT(oracle.levels.size(), 2u);
 
-  for (const int p : {1, 2, 3, 5, 8}) {
-    const MafiaResult pw = run_pmafia(source, pairwise, p);
-    const MafiaResult bk = run_pmafia(source, bucketed, p);
-    EXPECT_EQ(oracle_sig, signature(pw)) << "pairwise p=" << p;
-    EXPECT_EQ(oracle_sig, signature(bk)) << "bucketed p=" << p;
-    ASSERT_EQ(bk.levels.size(), oracle.levels.size()) << "p=" << p;
-    for (std::size_t l = 0; l < oracle.levels.size(); ++l) {
-      EXPECT_EQ(bk.levels[l].ncdu_raw, oracle.levels[l].ncdu_raw);
-      EXPECT_EQ(bk.levels[l].ncdu, oracle.levels[l].ncdu);
-      EXPECT_EQ(bk.levels[l].ndu, oracle.levels[l].ndu);
-      EXPECT_EQ(bk.levels[l].count_checksum, oracle.levels[l].count_checksum)
-          << "level " << oracle.levels[l].level << " p=" << p;
-      EXPECT_EQ(bk.levels[l].join_emitted, oracle.levels[l].join_emitted)
-          << "level " << oracle.levels[l].level << " p=" << p;
-      EXPECT_LE(bk.levels[l].join_probes, oracle.levels[l].join_probes)
-          << "level " << oracle.levels[l].level << " p=" << p;
-      // Emissions from a level-k join, minus fused repeats, are level k's
-      // unique CDU count (levels[l] covers k = l+1; the join that produced
-      // it is recorded on the same row).
-      if (l > 0) {
-        EXPECT_EQ(bk.levels[l].join_emitted - bk.levels[l].join_repeats_fused,
-                  bk.levels[l].ncdu)
-            << "level " << bk.levels[l].level << " p=" << p;
+    for (const int p : {1, 2, 3, 5, 8}) {
+      const MafiaResult pw = run_pmafia(source, pairwise, p);
+      const MafiaResult bk = run_pmafia(source, bucketed, p);
+      EXPECT_EQ(oracle_sig, signature(pw)) << "pairwise p=" << p;
+      EXPECT_EQ(oracle_sig, signature(bk)) << "bucketed p=" << p;
+      ASSERT_EQ(bk.levels.size(), oracle.levels.size()) << "p=" << p;
+      for (std::size_t l = 0; l < oracle.levels.size(); ++l) {
+        EXPECT_EQ(bk.levels[l].ncdu_raw, oracle.levels[l].ncdu_raw);
+        EXPECT_EQ(bk.levels[l].ncdu, oracle.levels[l].ncdu);
+        EXPECT_EQ(bk.levels[l].ndu, oracle.levels[l].ndu);
+        EXPECT_EQ(bk.levels[l].count_checksum, oracle.levels[l].count_checksum)
+            << "level " << oracle.levels[l].level << " p=" << p;
+        EXPECT_EQ(bk.levels[l].join_emitted, oracle.levels[l].join_emitted)
+            << "level " << oracle.levels[l].level << " p=" << p;
+        EXPECT_LE(bk.levels[l].join_probes, oracle.levels[l].join_probes)
+            << "level " << oracle.levels[l].level << " p=" << p;
+        // Emissions from a level-k join, minus fused repeats, are level k's
+        // unique CDU count (levels[l] covers k = l+1; the join that produced
+        // it is recorded on the same row).
+        if (l > 0) {
+          EXPECT_EQ(bk.levels[l].join_emitted - bk.levels[l].join_repeats_fused,
+                    bk.levels[l].ncdu)
+              << "level " << bk.levels[l].level << " p=" << p;
+        }
       }
+      // The trace fields are rank-count invariant within each kernel too.
+      for (std::size_t l = 0; l < oracle.levels.size(); ++l) {
+        EXPECT_EQ(pw.levels[l].join_probes, oracle.levels[l].join_probes)
+            << "pairwise stats drifted with p at level " << l + 1;
+      }
+      // Kernel accounting: every joined level used the selected kernel
+      // (level 2's k−1 = 1 parents join through the one empty-signature
+      // bucket).
+      EXPECT_EQ(pw.join_kernel.bucketed_levels, 0u);
+      EXPECT_GT(bk.join_kernel.bucketed_levels, 0u);
+      EXPECT_EQ(bk.join_kernel.pairwise_levels, 0u) << "p=" << p;
+      EXPECT_EQ(bk.join_kernel.emitted, pw.join_kernel.emitted) << "p=" << p;
+      EXPECT_LE(bk.join_kernel.probes, pw.join_kernel.probes) << "p=" << p;
     }
-    // The trace fields are rank-count invariant within each kernel too.
-    for (std::size_t l = 0; l < oracle.levels.size(); ++l) {
-      EXPECT_EQ(pw.levels[l].join_probes, oracle.levels[l].join_probes)
-          << "pairwise stats drifted with p at level " << l + 1;
-    }
-    // Kernel accounting: every joined level used the selected kernel
-    // (level 2's k−1 = 1 parents fall back to pairwise under Bucketed).
-    EXPECT_EQ(pw.join_kernel.bucketed_levels, 0u);
-    EXPECT_GT(bk.join_kernel.bucketed_levels, 0u);
-    EXPECT_EQ(bk.join_kernel.pairwise_levels, 1u) << "p=" << p;
-    EXPECT_EQ(bk.join_kernel.emitted, pw.join_kernel.emitted) << "p=" << p;
-    EXPECT_LE(bk.join_kernel.probes, pw.join_kernel.probes) << "p=" << p;
   }
 }
 
 TEST(JoinDifferential, DedupPolicyStillInvariantUnderPairwiseKernel) {
-  // The fused dedup path only engages under the bucketed kernel; with the
-  // pairwise kernel the DedupPolicy knob keeps its meaning, and both
-  // policies still agree with the bucketed default.
+  // Repeat elimination runs only under the pairwise kernel, where the
+  // DedupPolicy knob keeps its meaning, and both policies still agree with
+  // the bucketed default, which emits no repeats.
   const Dataset data = differential_data();
   InMemorySource source(data);
   MafiaOptions base;
@@ -339,6 +403,191 @@ TEST(JoinDifferential, DedupPolicyStillInvariantUnderPairwiseKernel) {
   EXPECT_EQ(ref, signature(run_pmafia(source, pw, 2)));
   pw.dedup = DedupPolicy::Hash;
   EXPECT_EQ(ref, signature(run_pmafia(source, pw, 2)));
+}
+
+// ------------------------------------------------- registration oracle
+
+/// What a serial replay of the level loop produces.
+struct ReplayedRun {
+  std::vector<LevelTrace> levels;  ///< level, ncdu_raw, ncdu, ndu, checksum
+  std::vector<Cluster> clusters;
+};
+
+/// Serial replay of the level loop over public calls, in the form that
+/// marks parents from the raw parent pairs: join_dense_units with its
+/// parents, dedup_hash with its raw→unique map, identify_dense_units,
+/// build_dense_store, and assemble_clusters.  A dense unit is registered
+/// as maximal when no raw pair that produced a dense candidate names it.
+/// The grid phase is taken from `grids` (the run's own), so the replay
+/// checks the level loop only.  No MDL pruning, checkpoint or append.
+ReplayedRun replay_raw_pair_marking(const Dataset& data,
+                                    const MafiaOptions& opt,
+                                    const GridSet& grids) {
+  ReplayedRun out;
+  const auto n = static_cast<Count>(data.num_records());
+  const DensityContext dctx{opt.grid.alpha, n};
+  UnitStore cdus(1);
+  for (std::size_t j = 0; j < grids.num_dims(); ++j) {
+    for (std::size_t b = 0; b < grids[j].num_bins(); ++b) {
+      const auto dj = static_cast<DimId>(j);
+      const auto bb = static_cast<BinId>(b);
+      cdus.push_unchecked(&dj, &bb);
+    }
+  }
+  UnitStore prev_dense(1);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
+  std::vector<std::uint32_t> raw_to_unique;
+  std::vector<UnitStore> registered;
+  const auto register_units = [&registered](const UnitStore& dense,
+                                            const std::vector<std::uint8_t>* marked) {
+    UnitStore reg(dense.k());
+    for (std::size_t u = 0; u < dense.size(); ++u) {
+      if (marked == nullptr || !(*marked)[u]) {
+        reg.push_unchecked(dense.dims(u).data(), dense.bins(u).data());
+      }
+    }
+    if (!reg.empty()) registered.push_back(std::move(reg));
+  };
+  std::size_t raw_count = cdus.size();
+  for (std::size_t level = 1;; ++level) {
+    UnitPopulator populator(grids, cdus);
+    populator.accumulate(data.values().data(), static_cast<std::size_t>(n));
+    const std::vector<Count> counts = populator.counts();
+    std::vector<std::uint8_t> flags(cdus.size(), 0);
+    identify_dense_units(cdus, counts, grids, opt.density, dctx, 0,
+                         cdus.size(), flags);
+    LevelTrace t;
+    t.level = level;
+    t.ncdu_raw = raw_count;
+    t.ncdu = cdus.size();
+    for (const std::uint8_t f : flags) t.ndu += (f != 0);
+    t.count_checksum = count_vector_checksum(counts);
+    out.levels.push_back(t);
+
+    if (level > 1) {
+      std::vector<std::uint8_t> marked(prev_dense.size(), 0);
+      for (std::size_t r = 0; r < parents.size(); ++r) {
+        if (flags[raw_to_unique[r]]) {
+          marked[parents[r].first] = 1;
+          marked[parents[r].second] = 1;
+        }
+      }
+      register_units(prev_dense, &marked);
+    }
+    if (t.ndu == 0) break;
+    UnitStore dense = build_dense_store(cdus, flags);
+    if (level >= opt.max_level) {
+      register_units(dense, nullptr);
+      break;
+    }
+    prev_dense = std::move(dense);
+    JoinResult jr = join_dense_units(prev_dense, opt.join_rule);
+    if (jr.cdus.empty()) {
+      register_units(prev_dense, nullptr);
+      break;
+    }
+    raw_count = jr.cdus.size();
+    parents = std::move(jr.parents);
+    DedupResult dd = dedup_hash(jr.cdus);
+    cdus = std::move(dd.unique);
+    raw_to_unique = std::move(dd.raw_to_unique);
+  }
+  out.clusters = assemble_clusters(registered);
+  std::erase_if(out.clusters, [&opt](const Cluster& c) {
+    return c.dims.size() < opt.min_cluster_dims;
+  });
+  return out;
+}
+
+/// run_pmafia's levels and clusters against the replay: per-level
+/// ncdu_raw, ncdu, ndu and count_checksum, and the clusters exactly
+/// (order, subspaces, units and DNF).
+void expect_matches_replay(const MafiaResult& r, const ReplayedRun& want,
+                           const std::string& what) {
+  ASSERT_EQ(r.levels.size(), want.levels.size()) << what;
+  for (std::size_t l = 0; l < want.levels.size(); ++l) {
+    const LevelTrace& a = r.levels[l];
+    const LevelTrace& b = want.levels[l];
+    EXPECT_EQ(a.ncdu_raw, b.ncdu_raw) << what << " level " << b.level;
+    EXPECT_EQ(a.ncdu, b.ncdu) << what << " level " << b.level;
+    EXPECT_EQ(a.ndu, b.ndu) << what << " level " << b.level;
+    EXPECT_EQ(a.count_checksum, b.count_checksum)
+        << what << " level " << b.level;
+  }
+  ASSERT_EQ(r.clusters.size(), want.clusters.size()) << what;
+  for (std::size_t c = 0; c < want.clusters.size(); ++c) {
+    const Cluster& x = r.clusters[c];
+    const Cluster& y = want.clusters[c];
+    EXPECT_EQ(x.dims, y.dims) << what << " cluster " << c;
+    EXPECT_EQ(x.units.dim_bytes(), y.units.dim_bytes()) << what << " cluster " << c;
+    EXPECT_EQ(x.units.bin_bytes(), y.units.bin_bytes()) << what << " cluster " << c;
+    ASSERT_EQ(x.dnf.size(), y.dnf.size()) << what << " cluster " << c;
+    for (std::size_t i = 0; i < y.dnf.size(); ++i) {
+      EXPECT_EQ(x.dnf[i].lo, y.dnf[i].lo) << what << " cluster " << c;
+      EXPECT_EQ(x.dnf[i].hi, y.dnf[i].hi) << what << " cluster " << c;
+    }
+  }
+}
+
+/// Planted boxes in 4- and 3-dim subspaces sharing dims, over a uniform
+/// background: their candidates have many dense faces, so the MAFIA join
+/// repeats heavily, and under CLIQUE's rule dense faces that are no
+/// candidate's parent pair stay registered.
+Dataset registration_data(std::uint64_t seed) {
+  GeneratorConfig cfg;
+  cfg.num_dims = 9;
+  cfg.num_records = 12000;
+  cfg.seed = seed;
+  cfg.clusters.push_back(ClusterSpec::box({0, 2, 5, 7}, {20, 20, 20, 20},
+                                          {32, 32, 32, 32}, 1.0));
+  cfg.clusters.push_back(
+      ClusterSpec::box({1, 5, 8}, {55, 60, 55}, {70, 72, 70}, 1.0));
+  cfg.clusters.push_back(ClusterSpec::box({2, 3}, {70, 10}, {85, 25}, 0.6));
+  return generate(cfg);
+}
+
+TEST(JoinDifferential, RegistrationMatchesRawPairReplay) {
+  // Parent marking by unit content (every dense face under the MAFIA rule,
+  // the last-two-dims pair under CLIQUE's) must register exactly the units
+  // that marking from the raw parent pairs registers, under both join
+  // kernels and every rank count.
+  for (const std::uint64_t seed : {11u, 12u}) {
+    const Dataset data = registration_data(seed);
+    InMemorySource source(data);
+
+    MafiaOptions mafia;
+    mafia.fixed_domain = {{0.0f, 100.0f}};
+    mafia.tau = 2;  // engage every task-parallel phase
+    CliqueOptions clique;
+    clique.xi = 8;
+    clique.tau_fraction = 0.004;
+    clique.fixed_domain = {{0.0f, 100.0f}};
+    CliqueOptions modified = clique;
+    modified.modified_join = true;
+
+    std::size_t repeats = 0;
+    for (const int p : {1, 2, 3}) {
+      const std::string tag =
+          "seed " + std::to_string(seed) + " p=" + std::to_string(p);
+      for (const JoinKernel kernel :
+           {JoinKernel::Bucketed, JoinKernel::Pairwise}) {
+        MafiaOptions o = mafia;
+        o.join.kernel = kernel;
+        const MafiaResult r = run_pmafia(source, o, p);
+        expect_matches_replay(r, replay_raw_pair_marking(data, o, r.grids),
+                              "mafia " + tag);
+        for (const LevelTrace& t : r.levels) repeats += t.ncdu_raw - t.ncdu;
+      }
+      for (const CliqueOptions* c : {&clique, &modified}) {
+        const MafiaResult r = run_clique(source, *c, p);
+        expect_matches_replay(
+            r, replay_raw_pair_marking(data, to_mafia_options(*c), r.grids),
+            (c->modified_join ? "modified clique " : "clique ") + tag);
+        EXPECT_GT(r.clusters.size(), 0u) << tag;
+      }
+    }
+    EXPECT_GT(repeats, 0u) << "seed " << seed << ": the shape has no repeats";
+  }
 }
 
 }  // namespace

@@ -255,8 +255,8 @@ TEST(Join, BucketedMatchesPairwiseOnBruteForceStore) {
 }
 
 TEST(Join, BucketRangeUnionEqualsFullBucketedJoin) {
-  // Split the bucket ranges with the weight-balanced partitioner ("rank"
-  // pieces concatenated in order, then parent-sorted): must equal both the
+  // Split the index's unit ranges with the weight-balanced partitioner
+  // ("rank" pieces concatenated in order, no sort): must equal both the
   // full bucketed join and the pairwise scan.
   std::vector<std::pair<std::vector<DimId>, std::vector<BinId>>> defs;
   for (DimId a = 0; a < 5; ++a) {
@@ -268,18 +268,17 @@ TEST(Join, BucketRangeUnionEqualsFullBucketedJoin) {
   const JoinResult pw = join_dense_units(dense, JoinRule::MafiaAnyShared);
 
   const JoinBucketIndex index(dense, JoinRule::MafiaAnyShared);
-  const auto bounds = weight_balanced_partition(index.bucket_work(), 3);
+  const auto bounds = weight_balanced_partition(index.unit_work(), 3);
   UnitStore merged(3);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
   std::uint64_t buckets = 0;
   for (std::size_t r = 0; r < 3; ++r) {
-    const JoinResult part = index.join_range(bounds[r], bounds[r + 1]);
+    const JoinResult part = index.join_raw(bounds[r], bounds[r + 1]);
     merged.append(part.cdus);
     parents.insert(parents.end(), part.parents.begin(), part.parents.end());
     buckets += part.stats.buckets;
   }
   EXPECT_EQ(buckets, index.num_buckets());
-  sort_cdus_by_parents(merged, parents);
   ASSERT_EQ(merged.size(), pw.cdus.size());
   for (std::size_t u = 0; u < merged.size(); ++u) {
     EXPECT_TRUE(merged.equal(u, pw.cdus, u)) << "unit " << u;
@@ -290,7 +289,7 @@ TEST(Join, BucketRangeUnionEqualsFullBucketedJoin) {
 TEST(Join, BucketedHandlesOneDimensionalUnits) {
   // k−1 == 1: the sub-signature is empty, so the index degenerates to one
   // global bucket and must still reproduce the pairwise output (the driver
-  // prefers the triangular scan here, but the kernel stays correct).
+  // joins level 2 through it).
   auto dense = make_store(1, {{{0}, {3}}, {{1}, {5}}, {{1}, {6}}, {{2}, {0}}});
   const JoinResult pw = join_dense_units(dense, JoinRule::MafiaAnyShared);
   const JoinResult bk = bucket_join_dense_units(dense, JoinRule::MafiaAnyShared);
