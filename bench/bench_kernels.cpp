@@ -1,13 +1,15 @@
 // Google-benchmark microbenchmarks of the hot kernels: the MAFIA join, the
-// two dedup paths, CDU population, histogram accumulation, and the Eq. 1
-// boundary solver.  These complement the table/figure benches: when a
-// reproduction number drifts, this pins down which kernel moved.
+// two dedup paths, the bitmap index build, CDU population, histogram
+// accumulation, and the Eq. 1 boundary solver.  These complement the
+// table/figure benches: when a reproduction number drifts, this pins down
+// which kernel moved.
 #include <benchmark/benchmark.h>
 
 #include "grid/adaptive_grid.hpp"
 #include "grid/histogram.hpp"
 #include "grid/uniform_grid.hpp"
 #include "taskpart/taskpart.hpp"
+#include "units/bitmap_index.hpp"
 #include "units/dedup.hpp"
 #include "units/join.hpp"
 #include "units/populate.hpp"
@@ -96,6 +98,37 @@ void BM_Populate(benchmark::State& state) {
                           kRecords);
 }
 BENCHMARK(BM_Populate)->Range(16, 2048);
+
+// Building the bitmap index: add() bins dimensions of few bins by the edge
+// sweep and dimensions of many bins by bin_of, so the bin counts span both
+// sides of that choice.  Items are binned values (rows × dims).
+void BM_BitmapIndexAdd(benchmark::State& state) {
+  const auto bins = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kDims = 16;
+  constexpr std::size_t kRecords = 1 << 16;
+  const std::vector<Value> lo(kDims, 0.0f);
+  const std::vector<Value> hi(kDims, 100.0f);
+  const GridSet grids = compute_uniform_grids(lo, hi, bins, 0.01, kRecords);
+
+  std::vector<Value> rows(kRecords * kDims);
+  std::uint64_t s = 17;
+  for (auto& v : rows) {
+    s = s * 6364136223846793005ull + 1;
+    v = static_cast<Value>((s >> 33) % 10000) / 100.0f;
+  }
+  BitmapIndex index(grids, kRecords);
+  for (auto _ : state) {
+    state.PauseTiming();
+    index.clear();
+    state.ResumeTiming();
+    index.add(rows.data(), kRecords);
+    benchmark::DoNotOptimize(&index);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kRecords * kDims);
+}
+BENCHMARK(BM_BitmapIndexAdd)->Arg(1)->Arg(3)->Arg(10)->Arg(30)->Arg(100)->Arg(256);
 
 void BM_HistogramAccumulate(benchmark::State& state) {
   const auto dims = static_cast<std::size_t>(state.range(0));

@@ -70,16 +70,18 @@ class HistogramBuilder {
   /// Folds `nrows` row-major records into the counts.
   void accumulate(const Value* rows, std::size_t nrows) {
     const std::size_t d = lo_.size();
+    const double last = static_cast<double>(fine_bins_ - 1);
     for (std::size_t r = 0; r < nrows; ++r) {
       const Value* row = rows + r * d;
       for (std::size_t j = 0; j < d; ++j) {
+        // Clamped in double before the cast, which a finite value far
+        // outside the domain would overflow; values outside it land in
+        // the first or last cell, as DimensionGrid::bin_of clamps them.
+        // A NaN fails `cell > 0` and lands in cell 0.
         double cell = (static_cast<double>(row[j]) - lo_[j]) * inv_width_[j];
-        auto c = static_cast<std::ptrdiff_t>(cell);
-        if (c < 0) c = 0;
-        if (c >= static_cast<std::ptrdiff_t>(fine_bins_)) {
-          c = static_cast<std::ptrdiff_t>(fine_bins_) - 1;
-        }
-        ++counts_[j * fine_bins_ + static_cast<std::size_t>(c)];
+        cell = cell > 0.0 ? cell : 0.0;
+        cell = cell < last ? cell : last;
+        ++counts_[j * fine_bins_ + static_cast<std::size_t>(cell)];
       }
     }
   }

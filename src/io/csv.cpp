@@ -1,7 +1,10 @@
 #include "io/csv.hpp"
 
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -20,6 +23,10 @@ std::vector<std::string> split_line(const std::string& line, char delimiter) {
   return fields;
 }
 
+std::string where(const std::string& path, std::size_t line_no) {
+  return path + ":" + std::to_string(line_no);
+}
+
 double parse_number(const std::string& field, std::size_t line_no,
                     const std::string& path) {
   const char* begin = field.data();
@@ -30,10 +37,32 @@ double parse_number(const std::string& field, std::size_t line_no,
   }
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  require(ec == std::errc{} && ptr == end,
-          "read_csv: non-numeric field '" + field + "' at " + path + ":" +
-              std::to_string(line_no));
+  require_input(ec == std::errc{} && ptr == end,
+                "read_csv: non-numeric field '" + field + "' at " +
+                    where(path, line_no));
   return value;
+}
+
+/// A value column: finite once narrowed to Value, as record files require
+/// (from_chars accepts "nan" and "inf", and 1e39 narrows to inf).
+Value parse_value(const std::string& field, std::size_t line_no,
+                  const std::string& path) {
+  const auto value = static_cast<Value>(parse_number(field, line_no, path));
+  require_input(std::isfinite(value), "read_csv: non-finite value '" + field +
+                                          "' at " + where(path, line_no));
+  return value;
+}
+
+/// The label column: an integer in int32 range.
+std::int32_t parse_label(const std::string& field, std::size_t line_no,
+                         const std::string& path) {
+  const double value = parse_number(field, line_no, path);
+  require_input(value >= std::numeric_limits<std::int32_t>::min() &&
+                    value <= std::numeric_limits<std::int32_t>::max() &&
+                    value == std::trunc(value),
+                "read_csv: label '" + field + "' is not an int32 at " +
+                    where(path, line_no));
+  return static_cast<std::int32_t>(value);
 }
 
 }  // namespace
@@ -64,15 +93,14 @@ Dataset read_csv(const std::string& path, const CsvOptions& options) {
       data = Dataset(value_columns);
       row.resize(value_columns);
     }
-    require(values == value_columns,
-            "read_csv: ragged row at " + path + ":" + std::to_string(line_no));
+    require_input(values == value_columns,
+                  "read_csv: ragged row at " + where(path, line_no));
     for (std::size_t j = 0; j < value_columns; ++j) {
-      row[j] = static_cast<Value>(parse_number(fields[j], line_no, path));
+      row[j] = parse_value(fields[j], line_no, path);
     }
     std::int32_t label = kUnlabeledLabel;
     if (options.last_column_is_label) {
-      label = static_cast<std::int32_t>(
-          parse_number(fields.back(), line_no, path));
+      label = parse_label(fields.back(), line_no, path);
     }
     data.append(row, label);
   }

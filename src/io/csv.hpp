@@ -19,9 +19,11 @@ struct CsvOptions {
   bool last_column_is_label = false;
 };
 
-/// Reads a numeric CSV into a Dataset.  All columns must parse as floats
-/// (or the optional trailing label column as an integer); ragged or
-/// non-numeric rows raise mafia::Error with the line number.
+/// Reads a numeric CSV into a Dataset.  Every value column must parse as a
+/// number that is finite as a float, and the optional trailing label
+/// column as an integer in int32 range; a ragged row, a non-numeric
+/// field, a NaN or infinite value, or a bad label raises mafia::InputError
+/// naming path:line.
 [[nodiscard]] Dataset read_csv(const std::string& path,
                                const CsvOptions& options = {});
 

@@ -245,6 +245,17 @@ void timed_scan(const DataSource& source, RecordIndex begin, RecordIndex end,
 
 void ThrottledSource::scan(RecordIndex begin, RecordIndex end,
                            std::size_t chunk_records, const ChunkFn& fn) const {
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
+  // Emulated read seconds still owed: each chunk adds its bytes/bandwidth
+  // and pays with the inner read's own time and the sleep's; a negative
+  // balance (a sleep that overshot, a slow inner read) shortens the next
+  // sleep, so a scan's reads total bytes/bandwidth however coarse the
+  // host's timer is.
+  double owed = 0.0;
+  Clock::time_point read_start = Clock::now();
   inner_.scan(begin, end, chunk_records,
               [&](const Value* rows, std::size_t nrows) {
                 // The sleep models the disk read of this chunk and happens
@@ -252,13 +263,18 @@ void ThrottledSource::scan(RecordIndex begin, RecordIndex end,
                 // into the emulated read time, or a synchronous consumer
                 // would see the read for free and the sync-vs-pipelined
                 // comparison the bench makes would be meaningless.
-                const double target =
-                    static_cast<double>(nrows * inner_.num_dims() *
-                                        sizeof(Value)) /
-                    bytes_per_second_;
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(target));
+                owed += static_cast<double>(nrows * inner_.num_dims() *
+                                            sizeof(Value)) /
+                            bytes_per_second_ -
+                        seconds_since(read_start);
+                if (owed > 0.0) {
+                  const Clock::time_point slept = Clock::now();
+                  std::this_thread::sleep_for(
+                      std::chrono::duration<double>(owed));
+                  owed -= seconds_since(slept);
+                }
                 fn(rows, nrows);
+                read_start = Clock::now();
               });
 }
 

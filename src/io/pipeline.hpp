@@ -153,10 +153,12 @@ void timed_scan(const DataSource& source, RecordIndex begin, RecordIndex end,
 
 /// Bandwidth-emulating decorator: delivers `inner`'s chunks unchanged but
 /// stretches each chunk's delivery to bytes/bandwidth seconds (sleeping the
-/// remainder), emulating the paper's local-disk bandwidth the same way
-/// mp::NetworkSimulation emulates the SP2 switch.  bench_io_pipeline uses
-/// it to build a deterministic I/O-bound workload: on a warm page cache a
-/// record file reads at memcpy speed and there would be nothing to overlap.
+/// remainder after the inner read, and carrying any overshoot into the
+/// next chunk's sleep), emulating the paper's local-disk bandwidth the
+/// same way mp::NetworkSimulation emulates the SP2 switch.
+/// bench_io_pipeline uses it to build a deterministic I/O-bound workload:
+/// on a warm page cache a record file reads at memcpy speed and there
+/// would be nothing to overlap.
 class ThrottledSource final : public DataSource {
  public:
   ThrottledSource(const DataSource& inner, double bytes_per_second)

@@ -28,6 +28,85 @@ constexpr std::size_t kNotIndexed = std::numeric_limits<std::size_t>::max();
 /// hundred-odd bitsets fits in L2.
 constexpr std::size_t kBlockWords = 512;
 
+/// Rows per index word, and so per add() block.
+constexpr std::size_t kWordBits = 64;
+
+// ------------------------------------------------ block binning
+//
+// Bit i of a lane mask tells whether lane i of one 64-lane block column
+// passes a compare: not_nan_lanes (the value equals itself) and
+// at_least_lanes (the value is >= an edge).  The SSE2 path — part of the
+// x86-64 baseline, so it needs no dispatch — compares 4 lanes at once and
+// packs 16 compare results per movemask.  The portable path fills a byte
+// per lane, a loop compilers vectorize, and one multiply packs each 8
+// bytes of 0/1 into 8 bits (byte j lands in bit 56 + j; the partial
+// products never overlap).  Both give identical masks; building with
+// PMAFIA_DISABLE_SIMD compiles only the portable path.
+//
+// kSweepMaxBins is the most bins per dimension add() bins by the edge
+// sweep: one lane mask per edge beats one bin_of per value up to about
+// that many bins, a crossover bench_kernels' BM_BitmapIndexAdd measures
+// (~56 bins with SSE2 and ~30 portable, on a 4-vCPU x86-64 host).
+
+#if defined(__x86_64__) && !defined(PMAFIA_DISABLE_SIMD)
+
+constexpr std::size_t kSweepMaxBins = 48;
+
+template <class Cmp>
+std::uint64_t lane_mask(const Value* col, Cmp cmp) {
+  const auto lanes4 = [&](std::size_t i) {
+    return _mm_castps_si128(cmp(_mm_loadu_ps(col + i)));
+  };
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < kWordBits; i += 16) {
+    const __m128i lo = _mm_packs_epi32(lanes4(i), lanes4(i + 4));
+    const __m128i hi = _mm_packs_epi32(lanes4(i + 8), lanes4(i + 12));
+    const auto bits16 =
+        static_cast<std::uint16_t>(_mm_movemask_epi8(_mm_packs_epi16(lo, hi)));
+    mask |= std::uint64_t{bits16} << i;
+  }
+  return mask;
+}
+
+std::uint64_t not_nan_lanes(const Value* col) {
+  return lane_mask(col, [](__m128 v) { return _mm_cmpord_ps(v, v); });
+}
+
+std::uint64_t at_least_lanes(const Value* col, Value edge) {
+  const __m128 e = _mm_set1_ps(edge);
+  return lane_mask(col, [e](__m128 v) { return _mm_cmpge_ps(v, e); });
+}
+
+#else
+
+constexpr std::size_t kSweepMaxBins = 32;
+
+template <class Pred>
+std::uint64_t lane_mask(const Value* col, Pred pred) {
+  std::uint8_t hit[kWordBits];
+  for (std::size_t i = 0; i < kWordBits; ++i) hit[i] = pred(col[i]) ? 1 : 0;
+  std::uint64_t mask = 0;
+  for (std::size_t g = 0; g < kWordBits / 8; ++g) {
+    std::uint64_t bytes = 0;
+    std::memcpy(&bytes, hit + 8 * g, sizeof bytes);
+    if constexpr (std::endian::native == std::endian::big) {
+      bytes = __builtin_bswap64(bytes);
+    }
+    mask |= ((bytes * 0x0102040810204080ull) >> 56) << (8 * g);
+  }
+  return mask;
+}
+
+std::uint64_t not_nan_lanes(const Value* col) {
+  return lane_mask(col, [](Value v) { return v == v; });
+}
+
+std::uint64_t at_least_lanes(const Value* col, Value edge) {
+  return lane_mask(col, [edge](Value v) { return v >= edge; });
+}
+
+#endif
+
 // ------------------------------------------------ AND + popcount
 //
 // popcount(bm[0][w] & ... & bm[k-1][w]) summed over the word range
@@ -178,27 +257,80 @@ void BitmapIndex::add(const Value* rows, std::size_t nrows) {
   // of the size_t members, so the compiler would otherwise reload those
   // members after every store.
   struct Target {
-    std::size_t column;
     const DimensionGrid* grid;
     std::uint64_t* words;  // bitset of the dimension's bin 0
+    bool sweep;            // edge sweep, else per-value bin_of
   };
   std::vector<Target> targets;
   targets.reserve(dims_.size());
   for (const DimId j : dims_) {
-    targets.push_back({j, &(*grids_)[j], words_.data() + first_[j] * stride_});
+    const DimensionGrid& g = (*grids_)[j];
+    targets.push_back({&g, words_.data() + first_[j] * stride_,
+                       g.num_bins() <= kSweepMaxBins});
   }
   const std::size_t d = grids_->num_dims();
+  const std::size_t nd = dims_.size();
   const std::size_t stride = stride_;
-  for (std::size_t r = 0; r < nrows; ++r) {
-    const std::size_t row = rows_ + r;
-    const std::size_t word = row >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (row & 63);
-    const Value* v = rows + r * d;
-    for (const Target& t : targets) {
-      const BinId bin = t.grid->bin_of(v[t.column]);
-      // Only a NaN bins past the grid; no CDU counts it.
-      if (bin < t.grid->num_bins()) t.words[bin * stride + word] |= bit;
+  // The block's indexed columns, column-major: cols[t * 64 + i] is row i's
+  // value of dimension dims_[t].  Zeroed once so the lanes past a short
+  // block read a determinate value; the valid mask drops their bits.
+  std::vector<Value> cols(nd * kWordBits, 0.0f);
+  // Per-value strategy's block-local words, all zero between stores.
+  std::uint64_t local[kMaxBinsPerDim] = {};
+  BinId bins[kWordBits] = {};
+  const DimId* dims = dims_.data();
+
+  for (std::size_t r = 0; r < nrows;) {
+    // A block ends on an index word boundary; only a call's first block
+    // can start mid-word, so its masks shift by the in-word offset.
+    const std::size_t word = (rows_ + r) / kWordBits;
+    const std::size_t off = (rows_ + r) % kWordBits;
+    const std::size_t n = std::min(kWordBits - off, nrows - r);
+    const std::uint64_t valid =
+        n == kWordBits ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    const Value* block = rows + r * d;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Value* v = block + i * d;
+      for (std::size_t t = 0; t < nd; ++t) cols[t * kWordBits + i] = v[dims[t]];
     }
+
+    for (std::size_t t = 0; t < nd; ++t) {
+      const Target& tg = targets[t];
+      const Value* col = cols.data() + t * kWordBits;
+      std::uint64_t* at = tg.words + word;
+      // Every (dim, bin) word this block sets is written once.
+      const auto store = [&](std::size_t bin, std::uint64_t mask) {
+        mask &= valid;
+        if (mask != 0) at[bin * stride] |= mask << off;
+      };
+      const std::size_t nb = tg.grid->num_bins();
+      if (tg.sweep) {
+        // ge_b: rows with v >= edges[b] (ge_0: every non-NaN row, ge_nb:
+        // none); bin b holds ge_b & ~ge_{b+1}.  This is bin_of's mapping,
+        // clamping included, for every non-NaN value.
+        const Value* e = tg.grid->edges.data();
+        std::uint64_t ge = not_nan_lanes(col);
+        for (std::size_t b = 0; b < nb; ++b) {
+          const std::uint64_t next =
+              b + 1 < nb ? at_least_lanes(col, e[b + 1]) : 0;
+          store(b, ge & ~next);
+          ge = next;
+        }
+      } else {
+        // One bin_of per value into block-local words; a NaN sets no bit.
+        for (std::size_t i = 0; i < n; ++i) {
+          const Value v = col[i];
+          bins[i] = tg.grid->bin_of(v);
+          local[bins[i]] |= std::uint64_t{v == v} << i;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (local[bins[i]] == 0) continue;
+          store(bins[i], local[bins[i]]);
+          local[bins[i]] = 0;
+        }
+      }
+    }
+    r += n;
   }
   rows_ += nrows;
 }

@@ -11,6 +11,18 @@
 // transaction once, then mine the encoding" step of *Scalable Bottom-up
 // Subspace Clustering using FP-Trees*, applied to Algorithm 2's populate.
 //
+// add() bins 64-row blocks, each ending on an index word boundary (a
+// call's first block starts mid-word after an odd row count, and shifts
+// its masks by the offset).  A block's indexed columns are copied into a
+// column-major buffer, and each dimension turns its column into one
+// 64-bit word per bin: dimensions of few bins by the edge sweep — one
+// vector compare per interior edge gives the mask ge_i of rows >= edge i,
+// and bin b's word is ge_b & ~ge_{b+1} — and dimensions of many bins by
+// one bin_of per value into block-local words.  The grid's bin count
+// picks the strategy.  Either way each (dim, bin) word is written once
+// per block, and the words equal bin_of's mapping for every non-NaN
+// value; a NaN sets no bit.
+//
 // Two owners build one:
 //   * the driver (core/mafia.cpp), once per run and rank, over the rank's
 //     record partition as soon as the grids are known — every level is

@@ -497,6 +497,20 @@ TEST(CliErrors, CorruptDataFilesExitWithInputCode) {
   std::remove(data.c_str());
 }
 
+TEST(CliErrors, NonFiniteCsvValueExitsWithInputCode) {
+  // A NaN in a CSV is bad input (exit 3), as in a record file, rather than
+  // a value the histogram and the index go on to bin.
+  const std::string csv = temp("mafia_cli_nan.csv");
+  {
+    std::ofstream f(csv);
+    f << "a,b\n1,2\n3,4\nnan,5\n";
+  }
+  auto [status, out] = run_cli("cluster --data " + csv);
+  EXPECT_EQ(status, 3) << out;
+  EXPECT_NE(out.find("non-finite value 'nan'"), std::string::npos) << out;
+  std::remove(csv.c_str());
+}
+
 TEST(CliErrors, FailureWritesErrorObjectToReportJson) {
   const std::string data = temp("mafia_cli_errjson.bin");
   const std::string report = temp("mafia_cli_errjson_report.json");

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "grid/adaptive_grid.hpp"
@@ -38,6 +39,25 @@ TEST(Histogram, CountsLandInCorrectCells) {
   EXPECT_EQ(counts[0], 2u);  // 0.5 and the clamped -1.0
   EXPECT_EQ(counts[3], 1u);
   EXPECT_EQ(counts[9], 2u);  // 9.99 and the clamped 10.0
+}
+
+TEST(Histogram, FarOutsideAFixedDomainClampsLikeBinOf) {
+  // Finite values far outside the domain clamp to the first or last cell,
+  // as bin_of clamps them to the first or last bin, instead of
+  // overflowing the integer cast (1e30 scales to a cell of 1e31).
+  const std::vector<Value> lo{0.0f};
+  const std::vector<Value> hi{100.0f};
+  const std::size_t cells = 1000;
+  const Value big = std::numeric_limits<Value>::max();
+  const std::vector<std::pair<Value, std::size_t>> cases{
+      {1e30f, cells - 1}, {-1e30f, 0},    {big, cells - 1}, {-big, 0},
+      {1e17f, cells - 1}, {150.0f, cells - 1}, {-0.5f, 0},
+      {0.0f, 0},          {100.0f, cells - 1}};
+  for (const auto& [v, cell] : cases) {
+    HistogramBuilder hb(lo, hi, cells);
+    hb.accumulate(&v, 1);
+    EXPECT_EQ(hb.dim_counts(0)[cell], 1u) << "value " << v;
+  }
 }
 
 TEST(Histogram, FlattenedLayoutIsDimMajor) {

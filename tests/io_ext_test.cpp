@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
@@ -86,7 +87,7 @@ TEST(Csv, RejectsRaggedRows) {
     std::ofstream out(tmp.path());
     out << "a,b\n1,2\n1,2,3\n";
   }
-  EXPECT_THROW((void)read_csv(tmp.path()), Error);
+  EXPECT_THROW((void)read_csv(tmp.path()), InputError);
 }
 
 TEST(Csv, RejectsNonNumericField) {
@@ -95,7 +96,50 @@ TEST(Csv, RejectsNonNumericField) {
     std::ofstream out(tmp.path());
     out << "a,b\n1,hello\n";
   }
-  EXPECT_THROW((void)read_csv(tmp.path()), Error);
+  EXPECT_THROW((void)read_csv(tmp.path()), InputError);
+}
+
+/// read_csv's InputError message for a file `name` holding `body`, or ""
+/// when the file reads without one.  ctest runs each test in its own
+/// process, concurrently, so every test passes its own name.
+std::string csv_input_error(const std::string& name, const std::string& body,
+                            const CsvOptions& o = {}) {
+  TempFile tmp(name);
+  {
+    std::ofstream out(tmp.path());
+    out << body;
+  }
+  try {
+    (void)read_csv(tmp.path(), o);
+  } catch (const InputError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csv, RejectsNonFiniteValuesNamingTheLine) {
+  // Record files reject non-finite values; CSV must too, including a value
+  // that is finite as a double but overflows the float it narrows to.
+  for (const std::string bad : {"nan", "inf", "-inf", "1e39"}) {
+    const std::string msg =
+        csv_input_error("mafia_csv_nonfinite.csv", "a,b\n1,2\n3," + bad + "\n");
+    EXPECT_NE(msg.find("non-finite value '" + bad + "'"), std::string::npos)
+        << bad << ": " << msg;
+    EXPECT_NE(msg.find("mafia_csv_nonfinite.csv:3"), std::string::npos)
+        << bad << ": " << msg;
+  }
+}
+
+TEST(Csv, RejectsLabelsOutsideInt32) {
+  CsvOptions o;
+  o.last_column_is_label = true;
+  const std::string msg = csv_input_error(
+      "mafia_csv_bad_label.csv", "a,b,label\n1,2,0\n3,4,1e20\n", o);
+  EXPECT_NE(msg.find("label '1e20' is not an int32"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("mafia_csv_bad_label.csv:3"), std::string::npos) << msg;
+  EXPECT_EQ(csv_input_error("mafia_csv_bad_label.csv",
+                            "a,b,label\n1,2,-2147483648\n3,4,2147483647\n", o),
+            "");
 }
 
 TEST(Csv, RejectsMissingFile) {

@@ -7,11 +7,16 @@
 // produce identical counts.  The instances cover the adversarial surface
 // explicitly — k = 1, wide units (k = 8/9), a 256-bin dimension (full
 // BinId range), duplicate bin rows across and within subspaces, records
-// outside every CDU — plus randomized differential sweeps over datagen
-// workloads with planted subspace clusters.
+// outside every CDU, every bin edge added at every in-word offset — plus
+// randomized differential sweeps over datagen workloads with planted
+// subspace clusters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "datagen/generator.hpp"
@@ -19,6 +24,7 @@
 #include "populate_oracle.hpp"
 #include "rng/distributions.hpp"
 #include "rng/icg.hpp"
+#include "units/bitmap_index.hpp"
 #include "units/populate.hpp"
 
 namespace mafia {
@@ -213,6 +219,105 @@ TEST(PopulateOracle, BitmapKernelSupportsInterleavedCountsAndAccumulate) {
   // A read with no new rows is a no-op.
   const std::vector<Count> again(pop.counts().begin(), pop.counts().end());
   EXPECT_EQ(again, oracle_counts(grids, cdus, rows.data(), 1000));
+}
+
+// --------------------------------------------------- edge-value sweep
+
+/// A grid over the given ascending edges (an uneven, hand-made partition).
+DimensionGrid grid_with_edges(DimId dim, std::vector<Value> edges) {
+  DimensionGrid g;
+  g.dim = dim;
+  g.domain_lo = edges.front();
+  g.domain_hi = edges.back();
+  g.thresholds.assign(edges.size() - 1, 1.0);
+  g.edges = std::move(edges);
+  g.validate();
+  return g;
+}
+
+/// Every edge of `g`, each edge's two float neighbours, ±0, ±1e30 and
+/// ±FLT_MAX: the values where a binning that disagrees with bin_of — at an
+/// edge, or in the clamping below and above the domain — would show.
+std::vector<Value> edge_values(const DimensionGrid& g) {
+  const Value inf = std::numeric_limits<Value>::infinity();
+  const Value big = std::numeric_limits<Value>::max();
+  std::vector<Value> v;
+  for (const Value e : g.edges) {
+    v.push_back(e);
+    v.push_back(std::nextafter(e, -inf));
+    v.push_back(std::nextafter(e, inf));
+  }
+  for (const Value x : {0.0f, -0.0f, 1e30f, -1e30f, big, -big}) v.push_back(x);
+  return v;
+}
+
+TEST(PopulateOracle, EdgeValuesAtEveryInWordOffset) {
+  // The index bins a block of rows a word at a time: dimensions of few
+  // bins by one compare per edge, dimensions of many bins by bin_of.  Bin
+  // counts of 1, 2 and 256 and on both sides of the strategy threshold,
+  // every edge value, and rows added after a prefix of every length
+  // 0..63 — so the block starts at every in-word offset — must all bin as
+  // the oracle does.
+  IcgRandom rng(110);
+  GridSet grids;
+  for (const std::size_t bins : {1u, 2u, 31u, 32u, 33u, 47u, 48u, 49u, 256u}) {
+    const auto j = static_cast<DimId>(grids.num_dims());
+    grids.dims.push_back(
+        compute_uniform_grid(j, -3.7f, 12.9f, bins, 0.01, 1000));
+  }
+  grids.dims.push_back(grid_with_edges(static_cast<DimId>(grids.num_dims()),
+                                       {-50.0f, -1.0f, 0.0f, 1e-3f, 7.5f, 100.0f}));
+  const std::size_t d = grids.num_dims();
+
+  // Each column cycles through its own dimension's edge values, reshuffled
+  // on every pass, so every value meets several others across the row.
+  std::vector<std::vector<Value>> columns(d);
+  std::size_t longest = 0;
+  for (std::size_t j = 0; j < d; ++j) {
+    columns[j] = edge_values(grids[j]);
+    longest = std::max(longest, columns[j].size());
+  }
+  const std::size_t nrows = 2 * longest;
+  std::vector<Value> rows(nrows * d);
+  for (std::size_t j = 0; j < d; ++j) {
+    std::vector<Value>& col = columns[j];
+    for (std::size_t r = 0; r < nrows; ++r) {
+      if (r % col.size() == 0) shuffle(rng, col.begin(), col.end());
+      rows[r * d + j] = col[r % col.size()];
+    }
+  }
+
+  UnitStore level1(1);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t b = 0; b < grids[j].num_bins(); ++b) {
+      const auto dim = static_cast<DimId>(j);
+      const auto bin = static_cast<BinId>(b);
+      level1.push_unchecked(&dim, &bin);
+    }
+  }
+  const std::vector<UnitStore> stores{level1, random_cdus(rng, grids, 2, 300),
+                                      random_cdus(rng, grids, 3, 300)};
+  for (const UnitStore& cdus : stores) {
+    expect_both_modes_match_oracle(grids, cdus, rows, {1, 63, 64, 65, 130});
+
+    const std::vector<Count> whole =
+        oracle_counts(grids, cdus, rows.data(), nrows);
+    for (std::size_t prefix = 0; prefix < 64; ++prefix) {
+      // The prefix is the last `prefix` rows, so each add() call starts
+      // where the other left off, mid-word after a prefix of 1..63.
+      const Value* head = rows.data() + (nrows - prefix) * d;
+      BitmapIndex index(grids, prefix + nrows);
+      index.add(head, prefix);
+      index.add(rows.data(), nrows);
+      const UnitPopulator pop(grids, cdus, {}, &index);
+      std::vector<Count> expected = oracle_counts(grids, cdus, head, prefix);
+      for (std::size_t u = 0; u < cdus.size(); ++u) {
+        ASSERT_EQ(pop.counts()[u], expected[u] + whole[u])
+            << "cdu " << cdus.to_string(u) << " k=" << cdus.k()
+            << " after a prefix of " << prefix << " rows";
+      }
+    }
+  }
 }
 
 // ------------------------------------------- randomized datagen workloads
