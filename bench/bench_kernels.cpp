@@ -1,13 +1,22 @@
 // Google-benchmark microbenchmarks of the hot kernels: the MAFIA join, the
 // two dedup paths, the bitmap index build, CDU population, histogram
-// accumulation, and the Eq. 1 boundary solver.  These complement the
-// table/figure benches: when a reproduction number drifts, this pins down
-// which kernel moved.
+// accumulation, the Eq. 1 boundary solver, and the load layer (reading a
+// record file, appending a batch onto a loaded base).  These complement
+// the table/figure benches: when a reproduction number drifts, this pins
+// down which kernel moved.
 #include <benchmark/benchmark.h>
+
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "grid/adaptive_grid.hpp"
 #include "grid/histogram.hpp"
 #include "grid/uniform_grid.hpp"
+#include "io/dataset.hpp"
+#include "io/record_file.hpp"
 #include "taskpart/taskpart.hpp"
 #include "units/bitmap_index.hpp"
 #include "units/dedup.hpp"
@@ -173,6 +182,79 @@ void BM_TriangularPartition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TriangularPartition)->Range(1024, 1 << 20);
+
+// The load layer.  A record file of 300k rows x 30 dims (36 MB, the
+// build-wide row shape) is read from the page cache straight into a data
+// set's mapping; the append grows a base loaded that way by a 1% batch.
+// Bytes are the value bytes read or appended.
+constexpr std::size_t kLoadDims = 30;
+constexpr std::size_t kLoadRecords = 300000;
+
+Dataset spread_rows(std::size_t records, std::uint64_t seed) {
+  Dataset data(kLoadDims);
+  data.reserve(records);
+  std::vector<Value> row(kLoadDims);
+  for (std::size_t i = 0; i < records; ++i) {
+    for (auto& v : row) {
+      seed = seed * 6364136223846793005ull + 1;
+      v = static_cast<Value>((seed >> 33) % 10000) / 100.0f;
+    }
+    data.append(row);
+  }
+  return data;
+}
+
+/// A record file in the temp directory, removed when the bench ends.
+class TempRecordFile {
+ public:
+  TempRecordFile(const std::string& name, const Dataset& data)
+      : path_((std::filesystem::temp_directory_path() /
+               (std::to_string(::getpid()) + "_" + name))
+                  .string()) {
+    write_record_file(path_, data, /*with_labels=*/false);
+  }
+  ~TempRecordFile() { std::remove(path_.c_str()); }
+  TempRecordFile(const TempRecordFile&) = delete;
+  TempRecordFile& operator=(const TempRecordFile&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+void BM_ReadRecordFile(benchmark::State& state) {
+  const TempRecordFile file("bench_kernels_read.rec",
+                            spread_rows(kLoadRecords, 5));
+  for (auto _ : state) {
+    const Dataset data = read_record_file(file.path());
+    benchmark::DoNotOptimize(data.values().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kLoadRecords * kLoadDims * sizeof(Value));
+}
+BENCHMARK(BM_ReadRecordFile)->Unit(benchmark::kMillisecond);
+
+void BM_AppendBatchOntoBase(benchmark::State& state) {
+  const TempRecordFile file("bench_kernels_base.rec",
+                            spread_rows(kLoadRecords, 6));
+  const Dataset batch = spread_rows(kLoadRecords / 100, 7);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Dataset data = read_record_file(file.path());
+    state.ResumeTiming();
+    data.append_rows(batch);
+    benchmark::DoNotOptimize(data.values().data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    data = Dataset{};  // unmapped outside the timed region
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          batch.num_records() * kLoadDims * sizeof(Value));
+}
+BENCHMARK(BM_AppendBatchOntoBase)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -77,7 +77,8 @@ int main() {
   // so recall alone cannot see it).
   const auto point_row = [&](const char* name, const MafiaResult& r) {
     const auto labels = assign_members(source, r.clusters, r.grids);
-    const PointScores s = point_level_scores(labels, data.labels());
+    const PointScores s = point_level_scores(
+        labels, {data.labels().begin(), data.labels().end()});
     std::printf("  %-26s precision %.3f  recall %.3f  F1 %.3f\n", name,
                 s.precision, s.recall, s.f1());
   };

@@ -15,7 +15,7 @@ namespace {
 /// the Dataset, subspace dims from the planted ClusterSpecs.
 Clustering truth_of(const GeneratorConfig& config, const Dataset& data) {
   Clustering truth;
-  truth.labels = data.labels();
+  truth.labels.assign(data.labels().begin(), data.labels().end());
   truth.cluster_dims.reserve(config.clusters.size());
   for (const ClusterSpec& spec : config.clusters) {
     truth.cluster_dims.push_back(spec.dims);
@@ -143,7 +143,7 @@ WorkloadScore score_dataset(const std::string& name, const Dataset& data,
                             const AdapterHints& hints, int ranks) {
   check_algorithms(algorithms);
   Clustering truth;
-  truth.labels = data.labels();
+  truth.labels.assign(data.labels().begin(), data.labels().end());
   WorkloadScore ws;
   ws.name = name;
   ws.num_dims = data.num_dims();

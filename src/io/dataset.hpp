@@ -7,13 +7,20 @@
 // clustering algorithms — they exist only so the quality benches (Table 3,
 // Fig 1.2) and the eval scoreboard can score discovered clusters against the
 // planted truth.
+//
+// Values and labels live in page mappings (common/mapped_array.hpp):
+// appending a batch to a large data set grows its mapping in place instead
+// of copying it, and a freed data set returns its pages to the kernel at
+// once.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/mapped_array.hpp"
 #include "common/types.hpp"
 
 namespace mafia {
@@ -27,8 +34,20 @@ class Dataset {
     require(dims >= 1 && dims <= kMaxDims, "Dataset: bad dimension count");
   }
 
+  /// Takes `values` (row-major, `dims` per record) and one label per
+  /// record: the bulk loader's path, which reads a file straight into the
+  /// two arrays.
+  Dataset(std::size_t dims, MappedArray<Value> values,
+          MappedArray<std::int32_t> labels)
+      : Dataset(dims) {
+    require(values.size() == labels.size() * dims,
+            "Dataset: values do not match the label count");
+    values_ = std::move(values);
+    labels_ = std::move(labels);
+  }
+
   [[nodiscard]] RecordIndex num_records() const {
-    return dims_ == 0 ? 0 : values_.size() / dims_;
+    return static_cast<RecordIndex>(labels_.size());
   }
   [[nodiscard]] std::size_t num_dims() const { return dims_; }
 
@@ -37,26 +56,17 @@ class Dataset {
   /// that knows a record is planted noise must say so explicitly.
   void append(std::span<const Value> row, std::int32_t label = kUnlabeledLabel) {
     require(row.size() == dims_, "Dataset::append: wrong row width");
-    values_.insert(values_.end(), row.begin(), row.end());
+    values_.append(row.data(), dims_);
     labels_.push_back(label);
   }
 
-  /// Appends `nrows` row-major records in one splice (the bulk-loader path:
-  /// read_record_file's slab reads).  Labels are filled with kUnlabeledLabel;
-  /// use set_label() to attach ground truth afterwards.
-  void append_rows(const Value* rows, RecordIndex nrows) {
-    require(dims_ >= 1, "Dataset::append_rows: no dimension count set");
-    const auto n = static_cast<std::size_t>(nrows);
-    values_.insert(values_.end(), rows, rows + n * dims_);
-    labels_.insert(labels_.end(), n, kUnlabeledLabel);
-  }
-
   /// Appends every record of `other`, labels included — the append-batch
-  /// path concatenates the base data and the new batch with this.
+  /// path concatenates the base data and the new batch with this.  The
+  /// base grows in place; `other` may be this data set.
   void append_rows(const Dataset& other) {
     require(other.dims_ == dims_, "Dataset::append_rows: dimension mismatch");
-    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-    labels_.insert(labels_.end(), other.labels_.begin(), other.labels_.end());
+    values_.append(other.values_.data(), other.values_.size());
+    labels_.append(other.labels_.data(), other.labels_.size());
   }
 
   /// Reserves capacity for `n` records.
@@ -83,15 +93,19 @@ class Dataset {
     labels_[static_cast<std::size_t>(i)] = label;
   }
 
-  [[nodiscard]] const std::vector<Value>& values() const { return values_; }
-  [[nodiscard]] const std::vector<std::int32_t>& labels() const { return labels_; }
+  /// Every value, row-major.  The view is invalidated by any append.
+  [[nodiscard]] std::span<const Value> values() const { return values_.span(); }
+  /// One label per record.  The view is invalidated by any append.
+  [[nodiscard]] std::span<const std::int32_t> labels() const {
+    return labels_.span();
+  }
 
   /// Reorders records by the given permutation (new[i] = old[perm[i]]).
   /// Used by the generator's record-order permutation step (Section 5.1).
   void permute(const std::vector<RecordIndex>& perm) {
     require(perm.size() == num_records(), "Dataset::permute: bad permutation size");
-    std::vector<Value> new_values(values_.size());
-    std::vector<std::int32_t> new_labels(labels_.size());
+    MappedArray<Value> new_values(values_.size());
+    MappedArray<std::int32_t> new_labels(labels_.size());
     for (std::size_t i = 0; i < perm.size(); ++i) {
       const auto src = static_cast<std::size_t>(perm[i]);
       for (std::size_t d = 0; d < dims_; ++d) {
@@ -105,8 +119,8 @@ class Dataset {
 
  private:
   std::size_t dims_ = 0;
-  std::vector<Value> values_;
-  std::vector<std::int32_t> labels_;
+  MappedArray<Value> values_;
+  MappedArray<std::int32_t> labels_;
 };
 
 }  // namespace mafia

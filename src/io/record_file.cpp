@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/mapped_array.hpp"
 
 namespace mafia {
 
@@ -145,42 +147,39 @@ Dataset read_record_file(const std::string& path) {
   require_input(in.good(), "read_record_file: cannot open " + path);
   in.seekg(static_cast<std::streamoff>(kRecordFileHeaderBytes));
 
-  Dataset data(header.num_dims);
-  data.reserve(header.num_records);
+  // The header sized the file exactly, so the arrays are sized once and
+  // the file is read straight into them.
   const std::size_t d = header.num_dims;
+  const auto n = static_cast<std::size_t>(header.num_records);
+  MappedArray<Value> values(n * d);
+  MappedArray<std::int32_t> labels(n);
 
-  // Read the value block in multi-record slabs (~4 MiB) instead of one
-  // read() per row; validate_finite_values keeps per-record error
-  // attribution because each slab knows its first record index.
-  constexpr std::uint64_t kSlabBytes = 4u << 20;
-  const std::uint64_t slab_records =
-      std::max<std::uint64_t>(1, kSlabBytes / (d * sizeof(Value)));
-  std::vector<Value> slab(
-      static_cast<std::size_t>(
-          std::min<std::uint64_t>(slab_records, header.num_records)) * d);
-  for (std::uint64_t at = 0; at < header.num_records;) {
-    const std::uint64_t take =
-        std::min<std::uint64_t>(slab_records, header.num_records - at);
-    in.read(reinterpret_cast<char*>(slab.data()),
+  // The value block goes in ~4 MiB slabs, each validated while it is still
+  // in cache; validate_finite_values keeps per-record error attribution
+  // because each slab knows its first record index.
+  constexpr std::size_t kSlabBytes = 4u << 20;
+  const std::size_t slab_records =
+      std::max<std::size_t>(1, kSlabBytes / (d * sizeof(Value)));
+  for (std::size_t at = 0; at < n;) {
+    const std::size_t take = std::min(slab_records, n - at);
+    Value* slab = values.data() + at * d;
+    in.read(reinterpret_cast<char*>(slab),
             static_cast<std::streamsize>(take * d * sizeof(Value)));
     require_input(in.good(), "read_record_file: truncated values in " + path);
-    validate_finite_values(slab.data(), static_cast<std::size_t>(take), d,
-                           static_cast<RecordIndex>(at), path);
-    data.append_rows(slab.data(), static_cast<RecordIndex>(take));
+    validate_finite_values(slab, take, d, static_cast<RecordIndex>(at), path);
     at += take;
   }
 
-  if (header.has_labels && header.num_records > 0) {
-    std::vector<std::int32_t> labels(
-        static_cast<std::size_t>(header.num_records));
-    in.read(reinterpret_cast<char*>(labels.data()),
-            static_cast<std::streamsize>(labels.size() * sizeof(std::int32_t)));
-    require_input(in.good(), "read_record_file: truncated labels in " + path);
-    for (std::uint64_t i = 0; i < header.num_records; ++i) {
-      data.set_label(static_cast<RecordIndex>(i), labels[i]);
+  if (header.has_labels) {
+    if (n > 0) {
+      in.read(reinterpret_cast<char*>(labels.data()),
+              static_cast<std::streamsize>(n * sizeof(std::int32_t)));
+      require_input(in.good(), "read_record_file: truncated labels in " + path);
     }
+  } else {
+    std::fill_n(labels.data(), n, kUnlabeledLabel);
   }
-  return data;
+  return Dataset(d, std::move(values), std::move(labels));
 }
 
 }  // namespace mafia

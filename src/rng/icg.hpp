@@ -80,8 +80,9 @@ class IcgRandom {
 
  private:
   // a = 1 (mod 4), b = 2 (mod 4): maximal period (Theorem 1 of [6]).
-  static constexpr std::uint64_t kA = 0x5deece66d00000001ull;  // == 1 mod 4
-  static constexpr std::uint64_t kB = 0x000000000000000eull;   // == 2 mod 4
+  static constexpr std::uint64_t kA = 0xdeece66d00000001ull;
+  static constexpr std::uint64_t kB = 0x000000000000000eull;
+  static_assert(kA % 4 == 1 && kB % 4 == 2);
   std::uint64_t state_;
 };
 

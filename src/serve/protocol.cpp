@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -76,6 +77,16 @@ QueryBatch decode_query(const std::uint8_t* data, std::size_t size,
   if (!batch.values.empty()) {
     std::memcpy(batch.values.data(), data + kShapeBytes,
                 batch.values.size() * sizeof(Value));
+  }
+  // A NaN or infinity lies in no bin (bin_of maps a NaN past the grid,
+  // which wraps to bin 0 in a 256-bin dimension), so it is rejected here as
+  // the record-file and CSV readers reject it.
+  for (std::size_t i = 0; i < batch.values.size(); ++i) {
+    if (!std::isfinite(batch.values[i])) [[unlikely]] {
+      throw InputError("serve query: non-finite value at row " +
+                       std::to_string(i / num_dims) + ", dim " +
+                       std::to_string(i % num_dims));
+    }
   }
   return batch;
 }

@@ -79,8 +79,9 @@ struct RowAnswer {
 
 /// Decodes and validates a query payload.  Throws InputError when the
 /// declared shape disagrees with the payload size, the batch exceeds
-/// `max_batch` rows, or `expect_dims` (non-zero = the model's width)
-/// doesn't match the query's.  A zero-row batch is valid.
+/// `max_batch` rows, `expect_dims` (non-zero = the model's width)
+/// doesn't match the query's, or a value is NaN or infinite (the error
+/// names its row and dim).  A zero-row batch is valid.
 [[nodiscard]] QueryBatch decode_query(const std::uint8_t* data,
                                       std::size_t size, std::size_t max_batch,
                                       std::uint32_t expect_dims);

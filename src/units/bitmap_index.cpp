@@ -1,13 +1,10 @@
 #include "units/bitmap_index.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
 #include <string>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -196,43 +193,6 @@ AndPopcountFn resolve_and_popcount() {
 
 }  // namespace
 
-// ------------------------------------------------------------ WordMapping
-
-BitmapIndex::WordMapping::WordMapping(std::size_t words) {
-  if (words == 0) return;
-  if (words > std::numeric_limits<std::size_t>::max() / sizeof(std::uint64_t)) {
-    throw ResourceError("populate bitmap index: " + std::to_string(words) +
-                        " words exceed the address space");
-  }
-  void* p = ::mmap(nullptr, words * sizeof(std::uint64_t),
-                   PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) {
-    throw ResourceError("populate bitmap index: cannot map " +
-                        std::to_string(words * sizeof(std::uint64_t)) +
-                        " bytes");
-  }
-  data_ = static_cast<std::uint64_t*>(p);
-  size_ = words;
-}
-
-BitmapIndex::WordMapping::~WordMapping() {
-  if (data_ != nullptr) ::munmap(data_, size_ * sizeof(std::uint64_t));
-}
-
-BitmapIndex::WordMapping::WordMapping(WordMapping&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-BitmapIndex::WordMapping& BitmapIndex::WordMapping::operator=(
-    WordMapping&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(data_, size_ * sizeof(std::uint64_t));
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
 // ------------------------------------------------------------ BitmapIndex
 
 BitmapIndex::BitmapIndex(const GridSet& grids, std::size_t capacity_rows,
@@ -247,7 +207,7 @@ BitmapIndex::BitmapIndex(const GridSet& grids, std::size_t capacity_rows,
     num_bitsets_ += grids[j].num_bins();
   }
   stride_ = (capacity_rows + 63) / 64;
-  words_ = WordMapping(num_bitsets_ * stride_);
+  words_ = MappedArray<std::uint64_t>(num_bitsets_ * stride_);
 }
 
 void BitmapIndex::add(const Value* rows, std::size_t nrows) {

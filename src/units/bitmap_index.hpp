@@ -32,9 +32,11 @@
 //     low-memory regime (one chunked pass per level) and the standalone
 //     callers' way to count one candidate set over a record stream.
 //
-// Memory is bitsets × ⌈rows/64⌉ × 8 bytes in an anonymous mapping of its
-// own, so the pages go back to the OS when the index is destroyed rather
-// than staying resident in a malloc arena.
+// Memory is bitsets × ⌈rows/64⌉ × 8 bytes in a MappedArray
+// (common/mapped_array.hpp), the page mapping the data set's values also
+// live in: zero pages from the kernel, huge pages from 2 MiB up, and
+// returned to the kernel when the index is destroyed rather than staying
+// resident in a malloc arena.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +44,7 @@
 #include <span>
 #include <vector>
 
+#include "common/mapped_array.hpp"
 #include "grid/grid_types.hpp"
 #include "units/unit_store.hpp"
 
@@ -80,25 +83,6 @@ class BitmapIndex {
   [[nodiscard]] std::size_t bytes() const { return words_.size() * sizeof(std::uint64_t); }
 
  private:
-  /// Zero-filled anonymous mapping of 64-bit words; unmapped on destruction.
-  class WordMapping {
-   public:
-    WordMapping() = default;
-    explicit WordMapping(std::size_t words);
-    ~WordMapping();
-    WordMapping(WordMapping&& other) noexcept;
-    WordMapping& operator=(WordMapping&& other) noexcept;
-    WordMapping(const WordMapping&) = delete;
-    WordMapping& operator=(const WordMapping&) = delete;
-
-    [[nodiscard]] std::uint64_t* data() const { return data_; }
-    [[nodiscard]] std::size_t size() const { return size_; }
-
-   private:
-    std::uint64_t* data_ = nullptr;
-    std::size_t size_ = 0;
-  };
-
   /// Bitset of (dim, bin): `stride_` words starting here.
   [[nodiscard]] const std::uint64_t* bitset(DimId dim, BinId bin) const {
     return words_.data() + (first_[dim] + bin) * stride_;
@@ -110,7 +94,7 @@ class BitmapIndex {
   std::size_t num_bitsets_ = 0;
   std::size_t stride_ = 0;           // words per bitset (capacity / 64)
   std::size_t rows_ = 0;
-  WordMapping words_;
+  MappedArray<std::uint64_t> words_;
 };
 
 }  // namespace mafia

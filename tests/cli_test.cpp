@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -390,6 +392,86 @@ TEST_F(CliPipeline, CheckpointResumeReproducesBitIdenticalReport) {
   // Some kill points must land after the first checkpoint write, so the
   // sweep exercised a true restore rather than only fresh-run fallback.
   EXPECT_TRUE(saw_resume);
+}
+
+TEST_F(CliPipeline, AppendChainOverSegmentsMatchesClusteringTheWholeFile) {
+  // `cluster --checkpoint-dir` on a base, then `append` batch A and batch
+  // B.  The second append rebuilds the base from a two-segment provenance
+  // (base, A) and concatenates B onto it: perfbench's append cycle times
+  // this load path.  Its model must be byte-identical to clustering one
+  // record file that holds base + A + B with the same options.  The ~1%
+  // batches leave the grids unchanged, so the second append reuses levels.
+  const std::string batch_a = temp("mafia_cli_batch_a.bin");
+  const std::string batch_b = temp("mafia_cli_batch_b.bin");
+  const std::string whole = temp("mafia_cli_whole.bin");
+  const std::string whole_model = temp("mafia_cli_whole_model.txt");
+  const std::string report = temp("mafia_cli_append_report.json");
+  const std::string dir = temp("mafia_cli_append_ckpt");
+  const std::string planted = " --dims 8 --cluster 1,4:20:35 --cluster 2,5,7:60:72";
+  ASSERT_EQ(run_cli("generate --out " + data_ + planted +
+                    " --records 40000 --seed 7").first, 0);
+  ASSERT_EQ(run_cli("generate --out " + batch_a + planted +
+                    " --records 400 --seed 77").first, 0);
+  ASSERT_EQ(run_cli("generate --out " + batch_b + planted +
+                    " --records 300 --seed 78").first, 0);
+
+  const std::string domain = " --domain-lo 0 --domain-hi 100";
+  auto [cl_status, cl_out] =
+      run_cli("cluster --data " + data_ + domain + " --checkpoint-dir " + dir +
+              " --save " + model_);
+  ASSERT_EQ(cl_status, 0) << cl_out;
+  for (const std::string& batch : {batch_a, batch_b}) {
+    auto [ap_status, ap_out] =
+        run_cli("append --model " + model_ + " --checkpoint-dir " + dir +
+                " --data " + batch + domain + " --report-json " + report);
+    ASSERT_EQ(ap_status, 0) << ap_out;
+  }
+  const mafia::JsonValue second = mafia::json_parse(slurp(report));
+  EXPECT_GE(second.at("append").at("levels_reused").number, 1.0);
+
+  // The same records in one record file: a header for the summed count,
+  // the three value blocks, then the three label blocks (the layout of
+  // io/record_file.hpp, written byte by byte so the file does not depend
+  // on the loader under test).
+  constexpr std::size_t kHeaderBytes = 28;
+  std::string header;
+  std::string values;
+  std::string labels;
+  std::uint64_t total = 0;
+  for (const std::string& part : {data_, batch_a, batch_b}) {
+    const std::string bytes = slurp(part);
+    ASSERT_GT(bytes.size(), kHeaderBytes) << part;
+    std::uint64_t records = 0;
+    std::uint32_t dims = 0;
+    std::memcpy(&records, bytes.data() + 12, sizeof(records));
+    std::memcpy(&dims, bytes.data() + 20, sizeof(dims));
+    const std::size_t value_bytes = records * dims * sizeof(float);
+    ASSERT_EQ(bytes.size(),
+              kHeaderBytes + value_bytes + records * sizeof(std::int32_t))
+        << part;
+    header = bytes.substr(0, kHeaderBytes);
+    values += bytes.substr(kHeaderBytes, value_bytes);
+    labels += bytes.substr(kHeaderBytes + value_bytes);
+    total += records;
+  }
+  std::memcpy(header.data() + 12, &total, sizeof(total));
+  {
+    std::ofstream out(whole, std::ios::binary | std::ios::trunc);
+    out << header << values << labels;
+  }
+  auto [w_status, w_out] =
+      run_cli("cluster --data " + whole + domain + " --save " + whole_model);
+  ASSERT_EQ(w_status, 0) << w_out;
+  const std::string chained = slurp(model_);
+  // Equality alone would pass on two empty models; require clusters.
+  EXPECT_EQ(chained.rfind("MAFIA-MODEL", 0), 0u);
+  EXPECT_EQ(chained.find("clusters 0\n"), std::string::npos) << chained;
+  EXPECT_EQ(chained, slurp(whole_model));
+
+  std::filesystem::remove_all(dir);
+  for (const std::string& f : {batch_a, batch_b, whole, whole_model, report}) {
+    std::remove(f.c_str());
+  }
 }
 
 TEST(CliErrors, UnknownSubcommandFails) {

@@ -89,8 +89,8 @@ TEST(Generator, DeterministicPerSeed) {
   const GeneratorConfig cfg = small_config();
   const Dataset a = generate(cfg);
   const Dataset b = generate(cfg);
-  EXPECT_EQ(a.values(), b.values());
-  EXPECT_EQ(a.labels(), b.labels());
+  EXPECT_TRUE(std::ranges::equal(a.values(), b.values()));
+  EXPECT_TRUE(std::ranges::equal(a.labels(), b.labels()));
 }
 
 TEST(Generator, DifferentSeedsDiffer) {
@@ -98,7 +98,7 @@ TEST(Generator, DifferentSeedsDiffer) {
   const Dataset a = generate(cfg);
   cfg.seed = 4;
   const Dataset b = generate(cfg);
-  EXPECT_NE(a.values(), b.values());
+  EXPECT_FALSE(std::ranges::equal(a.values(), b.values()));
 }
 
 TEST(Generator, PermutationShufflesLabels) {
@@ -129,7 +129,7 @@ TEST(Generator, LcgEngineProducesDifferentData) {
   const Dataset icg = generate(cfg);
   cfg.engine = GeneratorConfig::Engine::Lcg;
   const Dataset lcg = generate(cfg);
-  EXPECT_NE(icg.values(), lcg.values());
+  EXPECT_FALSE(std::ranges::equal(icg.values(), lcg.values()));
   EXPECT_EQ(lcg.num_records(), icg.num_records());
 }
 
@@ -364,10 +364,10 @@ TEST(StressWorkloads, DeterministicPerSeed) {
     };
     const Dataset a = generate(make(5));
     const Dataset b = generate(make(5));
-    EXPECT_EQ(a.values(), b.values()) << "variant " << variant;
-    EXPECT_EQ(a.labels(), b.labels()) << "variant " << variant;
+    EXPECT_TRUE(std::ranges::equal(a.values(), b.values())) << "variant " << variant;
+    EXPECT_TRUE(std::ranges::equal(a.labels(), b.labels())) << "variant " << variant;
     const Dataset c = generate(make(6));
-    EXPECT_NE(a.values(), c.values()) << "variant " << variant;
+    EXPECT_FALSE(std::ranges::equal(a.values(), c.values())) << "variant " << variant;
   }
 }
 

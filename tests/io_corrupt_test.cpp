@@ -8,6 +8,7 @@
 // (the out-of-core path the driver uses).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -248,19 +249,73 @@ TEST(CorruptRecordFile, SlabReaderMatchesLegacySemantics) {
     const Dataset original = make_dataset(n, 6);
     write_record_file(tmp.path(), original, /*with_labels=*/true);
     const Dataset loaded = read_record_file(tmp.path());
-    EXPECT_EQ(loaded.values(), original.values()) << "n=" << n;
-    EXPECT_EQ(loaded.labels(), original.labels()) << "n=" << n;
+    EXPECT_TRUE(std::ranges::equal(loaded.values(), original.values())) << "n=" << n;
+    EXPECT_TRUE(std::ranges::equal(loaded.labels(), original.labels())) << "n=" << n;
   }
+}
+
+/// Records in one of read_record_file's ~4 MiB slabs at `d` dims.
+std::size_t slab_records(std::size_t d) {
+  return (std::size_t{4} << 20) / (d * sizeof(Value));
+}
+
+TEST(CorruptRecordFile, SlabReaderMatchesAcrossSlabBoundaries) {
+  // Sizes around one and two slabs, with and without labels: every value
+  // and label must land where the writer put it.
+  constexpr std::size_t d = 6;
+  const std::size_t slab = slab_records(d);
+  for (const std::size_t n : {slab - 1, slab, slab + 1, 2 * slab + 1}) {
+    const Dataset original = make_dataset(n, d);
+    for (const bool with_labels : {true, false}) {
+      TempFile tmp("mafia_corrupt_slabs_" + std::to_string(n) +
+                   (with_labels ? "_labels" : "") + ".rec");
+      write_record_file(tmp.path(), original, with_labels);
+      const Dataset loaded = read_record_file(tmp.path());
+      ASSERT_EQ(loaded.num_records(), n);
+      ASSERT_EQ(loaded.num_dims(), d);
+      EXPECT_TRUE(std::ranges::equal(loaded.values(), original.values()))
+          << "n=" << n << " labels=" << with_labels;
+      if (with_labels) {
+        EXPECT_TRUE(std::ranges::equal(loaded.labels(), original.labels()))
+            << "n=" << n;
+      } else {
+        EXPECT_TRUE(std::ranges::all_of(
+            loaded.labels(),
+            [](std::int32_t label) { return label == kUnlabeledLabel; }))
+            << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(CorruptRecordFile, NaNInSecondSlabPinnedToRecordDimAndByteOffset) {
+  // The slab that holds the bad value starts at record `slab`, so the
+  // record index must be offset by it, not counted from the slab's start.
+  constexpr std::size_t d = 6;
+  const std::size_t slab = slab_records(d);
+  TempFile tmp("mafia_corrupt_nan_slab2.rec");
+  write_record_file(tmp.path(), make_dataset(2 * slab + 1, d),
+                    /*with_labels=*/true);
+  const std::size_t rec = slab + 5;
+  const std::size_t dim = 4;
+  poison_value(tmp.path(), rec, dim, d,
+               std::numeric_limits<float>::quiet_NaN());
+  expect_input_error(
+      [&] { (void)read_record_file(tmp.path()); },
+      {"non-finite value", tmp.path(), "record " + std::to_string(rec),
+       "dim 4",
+       "byte offset " + std::to_string(kRecordFileHeaderBytes +
+                                       (rec * d + dim) * sizeof(Value))});
 }
 
 TEST(CorruptRecordFile, AppendRowsBulkMatchesAppend) {
   const Dataset original = make_dataset(23, 4);
   Dataset bulk(4);
-  bulk.append_rows(original.values().data(), 23);
-  EXPECT_EQ(bulk.values(), original.values());
+  bulk.append_rows(original);
+  EXPECT_TRUE(std::ranges::equal(bulk.values(), original.values()));
+  EXPECT_TRUE(std::ranges::equal(bulk.labels(), original.labels()));
   EXPECT_EQ(bulk.num_records(), 23u);
-  for (RecordIndex i = 0; i < 23; ++i) EXPECT_EQ(bulk.label(i), kUnlabeledLabel);
-  bulk.append_rows(original.values().data(), 0);  // no-op splice
+  bulk.append_rows(Dataset(4));  // no-op splice
   EXPECT_EQ(bulk.num_records(), 23u);
 }
 

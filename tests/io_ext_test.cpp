@@ -2,6 +2,7 @@
 // and the StagedSource access-pattern contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -41,8 +42,8 @@ TEST(Csv, RoundTripWithHeaderAndLabels) {
   const Dataset loaded = read_csv(tmp.path(), o);
   ASSERT_EQ(loaded.num_records(), 2u);
   ASSERT_EQ(loaded.num_dims(), 3u);
-  EXPECT_EQ(loaded.values(), data.values());
-  EXPECT_EQ(loaded.labels(), data.labels());
+  EXPECT_TRUE(std::ranges::equal(loaded.values(), data.values()));
+  EXPECT_TRUE(std::ranges::equal(loaded.labels(), data.labels()));
 }
 
 TEST(Csv, ReadsHeaderlessFiles) {

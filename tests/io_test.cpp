@@ -3,6 +3,7 @@
 // depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -81,8 +82,8 @@ TEST(RecordFile, RoundTripWithLabels) {
   const Dataset loaded = read_record_file(tmp.path());
   ASSERT_EQ(loaded.num_records(), original.num_records());
   ASSERT_EQ(loaded.num_dims(), original.num_dims());
-  EXPECT_EQ(loaded.values(), original.values());
-  EXPECT_EQ(loaded.labels(), original.labels());
+  EXPECT_TRUE(std::ranges::equal(loaded.values(), original.values()));
+  EXPECT_TRUE(std::ranges::equal(loaded.labels(), original.labels()));
 }
 
 TEST(RecordFile, RoundTripWithoutLabels) {
@@ -90,7 +91,7 @@ TEST(RecordFile, RoundTripWithoutLabels) {
   const Dataset original = make_dataset(10, 2);
   write_record_file(tmp.path(), original, /*with_labels=*/false);
   const Dataset loaded = read_record_file(tmp.path());
-  EXPECT_EQ(loaded.values(), original.values());
+  EXPECT_TRUE(std::ranges::equal(loaded.values(), original.values()));
   for (RecordIndex i = 0; i < loaded.num_records(); ++i) {
     EXPECT_EQ(loaded.label(i), kUnlabeledLabel);
   }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,7 +77,7 @@ inline UnitStore random_cdus(IcgRandom& rng, const GridSet& grids,
 /// batches of each size in `batches` — and asserts count-exact agreement
 /// with the oracle.
 inline void expect_both_modes_match_oracle(
-    const GridSet& grids, const UnitStore& cdus, const std::vector<Value>& rows,
+    const GridSet& grids, const UnitStore& cdus, std::span<const Value> rows,
     const std::vector<std::size_t>& batches) {
   const std::size_t d = grids.num_dims();
   const std::size_t nrows = rows.size() / d;

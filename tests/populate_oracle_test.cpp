@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <span>
 #include <vector>
 
 #include "datagen/generator.hpp"
@@ -34,7 +35,7 @@ namespace {
 /// record at a time, odd batches, exactly one 64-bit word, one row past
 /// it, and one batch larger than any instance.
 void expect_oracle_counts(const GridSet& grids, const UnitStore& cdus,
-                          const std::vector<Value>& rows) {
+                          std::span<const Value> rows) {
   expect_both_modes_match_oracle(grids, cdus, rows,
                                  {1, 3, 37, 64, 65, std::size_t{1} << 20});
 }

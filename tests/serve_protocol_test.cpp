@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "serve/protocol.hpp"
@@ -90,6 +93,26 @@ TEST(ServeProtocol, RejectsTrailingBytesAfterRows) {
   auto payload = encode_query(make_batch(4, 3));
   payload.push_back(0xAB);
   expect_input_error(payload, 10, 3, "needs");
+}
+
+TEST(ServeProtocol, RejectsNonFiniteValuesNamingRowAndDim) {
+  // A NaN lies in no bin, and in a 256-bin dimension bin_of's past-the-end
+  // answer wraps to bin 0; the decoder must refuse every non-finite value.
+  constexpr std::uint32_t kRows = 4;
+  constexpr std::uint32_t kDims = 5;
+  const std::pair<std::uint32_t, std::uint32_t> corners[] = {
+      {0, 0}, {0, kDims - 1}, {kRows - 1, 0}, {kRows - 1, kDims - 1}};
+  for (const Value bad : {std::numeric_limits<Value>::quiet_NaN(),
+                          std::numeric_limits<Value>::infinity(),
+                          -std::numeric_limits<Value>::infinity()}) {
+    for (const auto& [row, dim] : corners) {
+      QueryBatch batch = make_batch(kRows, kDims);
+      batch.values[row * kDims + dim] = bad;
+      expect_input_error(encode_query(batch), 10, kDims,
+                         "non-finite value at row " + std::to_string(row) +
+                             ", dim " + std::to_string(dim));
+    }
+  }
 }
 
 TEST(ServeProtocol, ResponseRoundTrip) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -309,6 +310,56 @@ TEST(ServeE2E, MalformedFramesRejectedAndConnectionClosed) {
   }
   EXPECT_TRUE(server.wait_for(
       [](const ServeReport& r) { return r.rejected_frames == 3; }));
+}
+
+TEST(ServeE2E, NonFiniteQueryIsAnInputErrorNotALabel) {
+  // Dimension 0 has 256 bins, where bin_of's past-the-end answer for a NaN
+  // wraps to bin 0, and the cluster's rectangle starts at bin 0: a NaN that
+  // got past decoding would be labelled a member.
+  GridSet grids;
+  DimensionGrid wide;
+  wide.dim = 0;
+  wide.domain_lo = 0.0f;
+  wide.domain_hi = 256.0f;
+  for (int i = 0; i <= 256; ++i) wide.edges.push_back(static_cast<Value>(i));
+  wide.thresholds.assign(256, 1.0);
+  grids.dims.push_back(wide);
+  grids.dims.push_back(make_grid(1));
+  std::vector<Cluster> clusters;
+  clusters.push_back(make_cluster({0}, {0}, {3}));
+  const std::string model_path = temp_path("nonfinite.model");
+  save_model(model_path, grids, clusters);
+  RunningServer server(unix_options(model_path, "nonfinite.sock"));
+
+  QueryBatch member;
+  member.num_dims = 2;
+  member.values = {1.5f, 50.0f};
+  {
+    ServeClient client(server->endpoint());
+    ASSERT_EQ(client.query(member).at(0).label, 0);
+  }
+  for (const Value bad : {std::numeric_limits<Value>::quiet_NaN(),
+                          std::numeric_limits<Value>::infinity(),
+                          -std::numeric_limits<Value>::infinity()}) {
+    QueryBatch batch = member;
+    batch.values[0] = bad;
+    ServeClient client(server->endpoint());
+    try {
+      const auto answers = client.query(batch);
+      FAIL() << "value " << bad << " was labelled " << answers.at(0).label;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.error_class(), ErrorClass::Input) << e.what();
+      EXPECT_NE(std::string(e.what()).find("non-finite value at row 0, dim 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(server.wait_for(
+      [](const ServeReport& r) { return r.rejected_frames == 3; }));
+
+  // The daemon keeps serving.
+  ServeClient after(server->endpoint());
+  EXPECT_EQ(after.query(member).at(0).label, 0);
 }
 
 TEST(ServeE2E, MidFrameDisconnectIsCountedNotFatal) {
