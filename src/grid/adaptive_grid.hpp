@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 
 #include "grid/grid_types.hpp"
 #include "grid/histogram.hpp"
@@ -71,8 +72,15 @@ struct AdaptiveGridOptions {
     return o;
   }
 
+  /// Largest fine_bins accepted: 256 dims of it make a 128 MiB histogram,
+  /// far below what the int32 cell index addresses.  The presets use 1000.
+  static constexpr std::size_t kMaxFineBins = 65536;
+
   void validate() const {
     require(fine_bins >= 2, "AdaptiveGridOptions: fine_bins too small");
+    require(fine_bins <= kMaxFineBins,
+            "AdaptiveGridOptions: fine_bins above " +
+                std::to_string(kMaxFineBins));
     require(window_cells >= 1 && window_cells <= fine_bins,
             "AdaptiveGridOptions: bad window_cells");
     require(beta >= 0.0 && beta <= 1.0, "AdaptiveGridOptions: beta outside [0,1]");

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -57,13 +59,15 @@ class HistogramBuilder {
       : fine_bins_(fine_bins),
         lo_(domain_lo.begin(), domain_lo.end()),
         inv_width_(domain_lo.size()),
-        counts_(domain_lo.size() * fine_bins, 0) {
-    require(fine_bins >= 1, "HistogramBuilder: fine_bins must be positive");
+        offset_(domain_lo.size()),
+        cells_(domain_lo.size()),
+        counts_(cell_count(domain_lo.size(), fine_bins), 0) {
     require(domain_lo.size() == domain_hi.size(), "HistogramBuilder: lo/hi mismatch");
     for (std::size_t j = 0; j < lo_.size(); ++j) {
       const double width = static_cast<double>(domain_hi[j]) - lo_[j];
       // Degenerate (constant) dimensions map everything to cell 0.
       inv_width_[j] = width > 0 ? static_cast<double>(fine_bins) / width : 0.0;
+      offset_[j] = static_cast<std::int32_t>(j * fine_bins);
     }
   }
 
@@ -71,8 +75,12 @@ class HistogramBuilder {
   void accumulate(const Value* rows, std::size_t nrows) {
     const std::size_t d = lo_.size();
     const double last = static_cast<double>(fine_bins_ - 1);
+    std::int32_t* cells = cells_.data();
     for (std::size_t r = 0; r < nrows; ++r) {
       const Value* row = rows + r * d;
+      // Every dimension's flattened cell first, then the increments: the
+      // cell loop holds no store the next value's load could depend on,
+      // so it vectorizes.
       for (std::size_t j = 0; j < d; ++j) {
         // Clamped in double before the cast, which a finite value far
         // outside the domain would overflow; values outside it land in
@@ -81,7 +89,10 @@ class HistogramBuilder {
         double cell = (static_cast<double>(row[j]) - lo_[j]) * inv_width_[j];
         cell = cell > 0.0 ? cell : 0.0;
         cell = cell < last ? cell : last;
-        ++counts_[j * fine_bins_ + static_cast<std::size_t>(cell)];
+        cells[j] = static_cast<std::int32_t>(cell) + offset_[j];
+      }
+      for (std::size_t j = 0; j < d; ++j) {
+        ++counts_[static_cast<std::size_t>(cells[j])];
       }
     }
   }
@@ -117,9 +128,25 @@ class HistogramBuilder {
   }
 
  private:
+  /// The d x fine_bins cells, which the int32 flattened cell index must
+  /// address; checked before the counts are allocated.
+  static std::size_t cell_count(std::size_t dims, std::size_t fine_bins) {
+    require(fine_bins >= 1, "HistogramBuilder: fine_bins must be positive");
+    constexpr auto kMaxCells =
+        static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max());
+    if (dims > kMaxCells / fine_bins) {
+      throw Error("HistogramBuilder: " + std::to_string(dims) + " dims x " +
+                  std::to_string(fine_bins) +
+                  " fine bins overflow the histogram's cell index");
+    }
+    return dims * fine_bins;
+  }
+
   std::size_t fine_bins_;
   std::vector<double> lo_;
   std::vector<double> inv_width_;
+  std::vector<std::int32_t> offset_;  // j * fine_bins_
+  std::vector<std::int32_t> cells_;   // one row's flattened cells
   std::vector<Count> counts_;
 };
 

@@ -1,12 +1,21 @@
 #include "io/record_file.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <mutex>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/mapped_array.hpp"
@@ -41,6 +50,88 @@ std::uint64_t declared_file_bytes(const RecordFileHeader& h,
                 "record file header in " + path +
                     " declares an impossible record count");
   return kRecordFileHeaderBytes + h.num_records * row_bytes;
+}
+
+/// A file opened read-only, closed on destruction; fd() < 0 if the open
+/// failed.
+class ReadOnlyFile {
+ public:
+  explicit ReadOnlyFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadOnlyFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+
+  [[nodiscard]] int fd() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// Reads exactly `bytes` at `offset` of `fd` into `to`, retrying short
+/// reads and EINTR.  False when the read fails or the file ends first (it
+/// shrank after the header's size check).
+bool pread_exact(int fd, void* to, std::size_t bytes, std::uint64_t offset) {
+  auto* at = static_cast<char*>(to);
+  while (bytes > 0) {
+    const ssize_t got = ::pread(fd, at, bytes, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    const auto n = static_cast<std::size_t>(got);
+    at += n;
+    bytes -= n;
+    offset += n;
+  }
+  return true;
+}
+
+/// Runs `read_slab(s)` for every slab s in [0, slabs) on
+/// min(slabs, hardware threads) workers, the calling thread among them, so
+/// a one-slab file starts no thread.  Workers claim slabs in ascending order
+/// through a shared counter and finish every slab they claim; after a
+/// failure no new slab is claimed.  Every slab below the lowest failing one
+/// has therefore been read, and that slab's error is rethrown after every
+/// worker is joined: the error is the one a serial reader gives, at any
+/// worker count.  No thread outlives the call (the process backend forks
+/// after loading, and a fork copies only the calling thread).
+template <class ReadSlab>
+void for_each_slab(std::size_t slabs, const ReadSlab& read_slab) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex failure_mutex;
+  std::size_t failed_slab = slabs;  // guarded by failure_mutex
+  std::exception_ptr failure;       // guarded by failure_mutex
+  const auto work = [&]() noexcept {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+      if (s >= slabs) return;
+      try {
+        read_slab(s);
+      } catch (...) {
+        const std::lock_guard lock(failure_mutex);
+        if (s < failed_slab) {
+          failed_slab = s;
+          failure = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  {
+    const std::size_t workers = std::min<std::size_t>(
+        slabs, std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::jthread> helpers;
+    try {
+      helpers.reserve(workers > 0 ? workers - 1 : 0);
+      while (helpers.size() + 1 < workers) helpers.emplace_back(work);
+    } catch (const std::exception&) {
+      // A thread that cannot start leaves its slabs to the other workers.
+    }
+    work();
+  }  // joins the helpers
+  if (failure) std::rethrow_exception(failure);
 }
 
 }  // namespace
@@ -143,9 +234,8 @@ RecordFileHeader read_record_file_header(const std::string& path) {
 
 Dataset read_record_file(const std::string& path) {
   const RecordFileHeader header = read_record_file_header(path);
-  std::ifstream in(path, std::ios::binary);
-  require_input(in.good(), "read_record_file: cannot open " + path);
-  in.seekg(static_cast<std::streamoff>(kRecordFileHeaderBytes));
+  const ReadOnlyFile file(path);
+  require_input(file.fd() >= 0, "read_record_file: cannot open " + path);
 
   // The header sized the file exactly, so the arrays are sized once and
   // the file is read straight into them.
@@ -154,31 +244,46 @@ Dataset read_record_file(const std::string& path) {
   MappedArray<Value> values(n * d);
   MappedArray<std::int32_t> labels(n);
 
-  // The value block goes in ~4 MiB slabs, each validated while it is still
-  // in cache; validate_finite_values keeps per-record error attribution
-  // because each slab knows its first record index.
+  // The file past the header goes in ~4 MiB slabs in file order: the value
+  // block's, then the label block's.  Each value slab is validated while it
+  // is still in cache; validate_finite_values keeps per-record error
+  // attribution because each slab knows its first record index.
   constexpr std::size_t kSlabBytes = 4u << 20;
-  const std::size_t slab_records =
+  const std::size_t value_rows =
       std::max<std::size_t>(1, kSlabBytes / (d * sizeof(Value)));
-  for (std::size_t at = 0; at < n;) {
-    const std::size_t take = std::min(slab_records, n - at);
-    Value* slab = values.data() + at * d;
-    in.read(reinterpret_cast<char*>(slab),
-            static_cast<std::streamsize>(take * d * sizeof(Value)));
-    require_input(in.good(), "read_record_file: truncated values in " + path);
-    validate_finite_values(slab, take, d, static_cast<RecordIndex>(at), path);
-    at += take;
-  }
+  const std::size_t label_rows = kSlabBytes / sizeof(std::int32_t);
+  const std::size_t value_slabs = (n + value_rows - 1) / value_rows;
+  const std::size_t label_slabs =
+      header.has_labels ? (n + label_rows - 1) / label_rows : 0;
+  const std::uint64_t label_block =
+      kRecordFileHeaderBytes + static_cast<std::uint64_t>(n) * d * sizeof(Value);
 
-  if (header.has_labels) {
-    if (n > 0) {
-      in.read(reinterpret_cast<char*>(labels.data()),
-              static_cast<std::streamsize>(n * sizeof(std::int32_t)));
-      require_input(in.good(), "read_record_file: truncated labels in " + path);
+  for_each_slab(value_slabs + label_slabs, [&](std::size_t s) {
+    if (s < value_slabs) {
+      const std::size_t first = s * value_rows;
+      const std::size_t take = std::min(value_rows, n - first);
+      Value* slab = values.data() + first * d;
+      if (!pread_exact(file.fd(), slab, take * d * sizeof(Value),
+                       kRecordFileHeaderBytes +
+                           static_cast<std::uint64_t>(first) * d * sizeof(Value))) {
+        throw InputError("read_record_file: truncated values in " + path);
+      }
+      validate_finite_values(slab, take, d, static_cast<RecordIndex>(first),
+                             path);
+      if (!header.has_labels) {
+        std::fill_n(labels.data() + first, take, kUnlabeledLabel);
+      }
+    } else {
+      const std::size_t first = (s - value_slabs) * label_rows;
+      const std::size_t take = std::min(label_rows, n - first);
+      if (!pread_exact(file.fd(), labels.data() + first,
+                       take * sizeof(std::int32_t),
+                       label_block + static_cast<std::uint64_t>(first) *
+                                         sizeof(std::int32_t))) {
+        throw InputError("read_record_file: truncated labels in " + path);
+      }
     }
-  } else {
-    std::fill_n(labels.data(), n, kUnlabeledLabel);
-  }
+  });
   return Dataset(d, std::move(values), std::move(labels));
 }
 

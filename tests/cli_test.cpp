@@ -593,6 +593,26 @@ TEST(CliErrors, NonFiniteCsvValueExitsWithInputCode) {
   std::remove(csv.c_str());
 }
 
+TEST(CliErrors, OversizedFineBinsExitWithUsageCode) {
+  // Unbounded, d x fine_bins histogram cells wrap (2^62 + 1 bins x 4 dims
+  // is 4 cells, which the scan overruns) or fail to allocate; every such
+  // value must be a usage error naming the cap.
+  const std::string data = temp("mafia_cli_fine_bins.bin");
+  ASSERT_EQ(run_cli("generate --out " + data + " --dims 4 --records 2000"
+                    " --seed 3")
+                .first,
+            0);
+  for (const std::string value :
+       {"4611686018427387905", "-1", "3000000000"}) {
+    auto [status, out] =
+        run_cli("cluster --data " + data + " --fine-bins " + value);
+    EXPECT_EQ(status, 2) << value << ": " << out;
+    EXPECT_NE(out.find("fine_bins above 65536"), std::string::npos)
+        << value << ": " << out;
+  }
+  std::remove(data.c_str());
+}
+
 TEST(CliErrors, FailureWritesErrorObjectToReportJson) {
   const std::string data = temp("mafia_cli_errjson.bin");
   const std::string report = temp("mafia_cli_errjson_report.json");

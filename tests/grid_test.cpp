@@ -7,6 +7,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -79,6 +81,75 @@ TEST(Histogram, DegenerateDimensionMapsToCellZero) {
   const std::vector<Value> rows{5.0f, 5.0f, 5.0f};
   hb.accumulate(rows.data(), 3);
   EXPECT_EQ(hb.dim_counts(0)[0], 3u);
+}
+
+TEST(Histogram, CountsMatchAPerValueReference) {
+  // The two-loop accumulate (every dimension's cell, then the increments)
+  // must count exactly what a per-value loop counts, at every width the
+  // cell loop vectorizes differently: values inside and far outside the
+  // domain, values on exact cell edges, and a degenerate dimension.
+  std::mt19937_64 rng(22);
+  for (const std::size_t d : {1u, 3u, 7u, 30u, 200u}) {
+    const std::size_t cells = 40;
+    std::vector<Value> lo(d);
+    std::vector<Value> hi(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      lo[j] = static_cast<Value>(j) - 10.0f;
+      hi[j] = lo[j] + 20.0f;
+    }
+    hi[d / 2] = lo[d / 2];  // degenerate: every value lands in cell 0
+    std::uniform_real_distribution<float> inside(-10.0f, 30.0f);
+    std::uniform_int_distribution<int> pick(0, 5);
+    std::uniform_int_distribution<std::size_t> edge(0, cells);
+    const std::size_t nrows = 257;
+    std::vector<Value> rows(nrows * d);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t j = i % d;
+      switch (pick(rng)) {
+        case 0:  // an exact cell edge: lo + k * width / cells
+          rows[i] = lo[j] + static_cast<Value>(edge(rng)) * 0.5f;
+          break;
+        case 1:
+          rows[i] = -1e30f;
+          break;
+        case 2:
+          rows[i] = 1e30f;
+          break;
+        default:
+          rows[i] = lo[j] + inside(rng);
+      }
+    }
+    HistogramBuilder hb(lo, hi, cells);
+    hb.accumulate(rows.data(), 100);
+    hb.accumulate(rows.data() + 100 * d, nrows - 100);
+
+    std::vector<Count> expected(d * cells, 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t j = i % d;
+      const double width = static_cast<double>(hi[j]) - lo[j];
+      const double scale = width > 0 ? static_cast<double>(cells) / width : 0.0;
+      const double cell = (static_cast<double>(rows[i]) - lo[j]) * scale;
+      const double clamped =
+          std::min(std::max(cell, 0.0), static_cast<double>(cells - 1));
+      ++expected[j * cells + static_cast<std::size_t>(clamped)];
+    }
+    EXPECT_EQ(hb.counts(), expected) << "d=" << d;
+    EXPECT_EQ(hb.dim_counts(d / 2)[0], nrows) << "d=" << d;
+  }
+}
+
+TEST(Histogram, RejectsACellCountPastTheCellIndex) {
+  // 4 dims x (2^62 + 1) cells wraps to 4 in 64-bit arithmetic; the
+  // builder must refuse it before sizing its counts.
+  const std::vector<Value> lo(4, 0.0f);
+  const std::vector<Value> hi(4, 1.0f);
+  EXPECT_THROW(HistogramBuilder(lo, hi, (std::size_t{1} << 62) + 1), Error);
+  EXPECT_THROW(HistogramBuilder(lo, hi, std::numeric_limits<std::size_t>::max()),
+               Error);
+  EXPECT_THROW(HistogramBuilder(lo, hi, std::size_t{1} << 30), Error);
+  EXPECT_THROW(HistogramBuilder(lo, hi, 0), Error);
+  const HistogramBuilder largest(lo, hi, AdaptiveGridOptions::kMaxFineBins);
+  EXPECT_EQ(largest.counts().size(), 4 * AdaptiveGridOptions::kMaxFineBins);
 }
 
 // ---------------------------------------------------------- adaptive grid
@@ -335,6 +406,24 @@ TEST(AdaptiveGrid, OptionValidation) {
   o = AdaptiveGridOptions{};
   o.fine_bins = 1;
   EXPECT_THROW(o.validate(), Error);
+  // fine_bins is capped, so d x fine_bins cells can neither wrap nor
+  // outgrow the histogram's int32 cell index.
+  o.fine_bins = AdaptiveGridOptions::kMaxFineBins;
+  EXPECT_NO_THROW(o.validate());
+  for (const std::size_t bad :
+       {AdaptiveGridOptions::kMaxFineBins + 1, std::size_t{3000000000},
+        (std::size_t{1} << 62) + 1, std::numeric_limits<std::size_t>::max()}) {
+    o.fine_bins = bad;
+    try {
+      o.validate();
+      ADD_FAILURE() << "fine_bins " << bad << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.error_class(), ErrorClass::Usage);
+      EXPECT_NE(std::string(e.what()).find("fine_bins above 65536"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ----------------------------------------------------------- uniform grid

@@ -6,16 +6,21 @@
 // record, dimension, and byte offset.  Every reader path is covered:
 // read_record_file_header, read_record_file, and FileSource's chunked scan
 // (the out-of-core path the driver uses).
+// read_record_file reads its slabs on several threads, so its error must
+// not depend on which slab fails first, and no thread may outlive the call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/data_source.hpp"
@@ -261,10 +266,13 @@ std::size_t slab_records(std::size_t d) {
 
 TEST(CorruptRecordFile, SlabReaderMatchesAcrossSlabBoundaries) {
   // Sizes around one and two slabs, with and without labels: every value
-  // and label must land where the writer put it.
+  // and label must land where the writer put it.  An empty and a one-slab
+  // file start no thread; 11 slabs (~44 MB) are more than a small runner
+  // has workers, so each worker claims several.
   constexpr std::size_t d = 6;
   const std::size_t slab = slab_records(d);
-  for (const std::size_t n : {slab - 1, slab, slab + 1, 2 * slab + 1}) {
+  for (const std::size_t n : {std::size_t{0}, slab - 1, slab, slab + 1,
+                              2 * slab + 1, 4 * slab + 3, 10 * slab + 7}) {
     const Dataset original = make_dataset(n, d);
     for (const bool with_labels : {true, false}) {
       TempFile tmp("mafia_corrupt_slabs_" + std::to_string(n) +
@@ -306,6 +314,72 @@ TEST(CorruptRecordFile, NaNInSecondSlabPinnedToRecordDimAndByteOffset) {
        "dim 4",
        "byte offset " + std::to_string(kRecordFileHeaderBytes +
                                        (rec * d + dim) * sizeof(Value))});
+}
+
+/// Threads of this process, as /proc/self/task lists them.
+std::size_t thread_count() {
+  const auto tasks = std::filesystem::directory_iterator("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+/// Waits up to 5 s for the process to hold `expected` threads again: a
+/// joined thread may linger in /proc for a moment after its join returns,
+/// but a thread kept alive (a pool, a detached worker) never leaves.
+bool thread_count_returns_to(std::size_t expected) {
+  for (int i = 0; i < 500 && thread_count() != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return thread_count() == expected;
+}
+
+TEST(CorruptRecordFile, LowestFailingSlabReportsAtEveryRead) {
+  // NaNs in slab 1 (its last record) and in the last slab, a single
+  // record that a worker reads far sooner than slab 1's 4 MiB.  Whichever
+  // fails first, every read must name slab 1's value, as a serial reader
+  // does.
+  constexpr std::size_t d = 6;
+  const std::size_t slab = slab_records(d);
+  TempFile tmp("mafia_corrupt_nan_two_slabs.rec");
+  write_record_file(tmp.path(), make_dataset(2 * slab + 1, d),
+                    /*with_labels=*/true);
+  const std::size_t rec = 2 * slab - 1;
+  const std::size_t dim = 2;
+  poison_value(tmp.path(), rec, dim, d,
+               std::numeric_limits<float>::quiet_NaN());
+  poison_value(tmp.path(), 2 * slab, 0, d,
+               std::numeric_limits<float>::quiet_NaN());
+  const std::vector<std::string> fragments = {
+      "non-finite value", tmp.path(), "record " + std::to_string(rec),
+      "dim 2",
+      "byte offset " + std::to_string(kRecordFileHeaderBytes +
+                                      (rec * d + dim) * sizeof(Value))};
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    expect_input_error([&] { (void)read_record_file(tmp.path()); }, fragments);
+  }
+}
+
+TEST(CorruptRecordFile, ReadLeavesNoThreadBehind) {
+  // Every worker is joined before read_record_file returns or throws: no
+  // pool outlives the call (the process backend forks after loading).
+  constexpr std::size_t d = 6;
+  const std::size_t slab = slab_records(d);
+  TempFile tmp("mafia_corrupt_threads.rec");
+  write_record_file(tmp.path(), make_dataset(3 * slab + 1, d),
+                    /*with_labels=*/true);
+  // A sanitizer runtime may start a thread of its own when the process
+  // first creates one (TSan does); let that happen before counting.
+  std::thread([] {}).join();
+  const std::size_t before = thread_count();
+  EXPECT_EQ(read_record_file(tmp.path()).num_records(), 3 * slab + 1);
+  EXPECT_TRUE(thread_count_returns_to(before)) << thread_count();
+
+  poison_value(tmp.path(), slab + 1, 0, d,
+               std::numeric_limits<float>::quiet_NaN());
+  expect_input_error([&] { (void)read_record_file(tmp.path()); },
+                     {"non-finite value", "record " + std::to_string(slab + 1)});
+  EXPECT_TRUE(thread_count_returns_to(before)) << thread_count();
 }
 
 TEST(CorruptRecordFile, AppendRowsBulkMatchesAppend) {
