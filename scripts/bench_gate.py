@@ -18,17 +18,6 @@ compared against the best baseline row of the same group — comparing
 against the best, not the mean, keeps the gate one-sided: a lucky baseline
 tightens it, a noisy one never loosens it.
 
-Besides the soft throughput comparison, --speedup declares HARD intra-run
-ratio gates of the form BENCH:TAG_NUM:TAG_DEN:MIN: the newest fresh rows
-of (BENCH, TAG_DEN) and (BENCH, TAG_NUM) must satisfy
-
-    total_seconds(TAG_DEN) / total_seconds(TAG_NUM) >= MIN
-
-Both rows come from the same fresh run on the same machine, so the ratio
-is machine-independent and a violation fails the gate (exit 1) even
-without --strict.  The I/O pipeline bench uses this:
-    --speedup io:e2e-prefetch=on:e2e-prefetch=off:1.3
-
 Serving-path rows wrap a "pmafia-serve-v1" report instead of the batch
 report (no records/phases, so the throughput comparison skips them).
 --serve declares HARD absolute floors of the form BENCH:TAG:MIN_QPS:MAX_P99_MS:
@@ -37,8 +26,8 @@ the newest fresh row of (BENCH, TAG) must satisfy
     report.queries_per_second >= MIN_QPS
     report.latency_ms.p99     <= MAX_P99_MS
 
-Like --speedup, a violation fails the gate even without --strict.  The
-floors are set an order of magnitude below healthy numbers, so they catch
+A violation fails the gate (exit 1) even without --strict.  The floors
+are set an order of magnitude below healthy numbers, so they catch
 structural regressions (accidental serialization, busy-wait, per-row
 allocation) rather than machine speed.
 
@@ -52,7 +41,7 @@ engaging would pass the ratio gate whenever both sides do the same work).
 Exit status: 0 when everything passes or only warnings were produced (the
 gate is soft by default: CI prints the warning but does not fail the
 build); 1 with --strict when any group regressed beyond tolerance, or
-always when a --speedup gate fails; 2 on usage/parse errors.  Groups
+always when a --serve or --append gate fails; 2 on usage/parse errors.  Groups
 present only on one side are reported but never fail the gate (new
 benches seed their baselines through normal commits).
 """
@@ -109,46 +98,6 @@ def group_rows(rows):
     return groups
 
 
-def group_totals(rows):
-    """(bench, tag) -> newest report.total_seconds, for --speedup gates."""
-    totals = {}
-    for row in rows:
-        total = row.get("report", {}).get("total_seconds", 0.0)
-        if total > 0.0:
-            totals[(row.get("bench", "?"), row.get("tag", ""))] = total
-    return totals
-
-
-def check_speedups(specs, totals):
-    """Evaluates BENCH:TAG_NUM:TAG_DEN:MIN specs; returns failure count."""
-    failures = 0
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise SystemExit(f"--speedup {spec!r}: want BENCH:TAG_NUM:TAG_DEN:MIN")
-        bench, tag_num, tag_den, min_str = parts
-        try:
-            minimum = float(min_str)
-        except ValueError:
-            raise SystemExit(f"--speedup {spec!r}: bad minimum {min_str!r}")
-        num = totals.get((bench, tag_num))
-        den = totals.get((bench, tag_den))
-        if num is None or den is None:
-            failures += 1
-            missing = tag_num if num is None else tag_den
-            print(f"speedup gate {spec}: FAIL (no fresh row for "
-                  f"({bench}, {missing}))")
-            continue
-        ratio = den / num
-        verdict = "ok" if ratio >= minimum else "FAIL"
-        if verdict == "FAIL":
-            failures += 1
-        print(f"speedup gate {bench}: {tag_den} / {tag_num} = "
-              f"{den:.3f}s / {num:.3f}s = {ratio:.2f}x "
-              f"(require >= {minimum:.2f}x)  {verdict}")
-    return failures
-
-
 def serve_reports(rows):
     """(bench, tag) -> newest wrapped pmafia-serve-v1 report."""
     latest = {}
@@ -203,14 +152,7 @@ def batch_reports(rows):
 
 
 def check_append(specs, reports):
-    """Evaluates BENCH:TAG_INC:TAG_FULL:MIN specs; returns failure count.
-
-    The ratio clause mirrors --speedup: total_seconds(TAG_FULL) /
-    total_seconds(TAG_INC) must reach MIN.  On top, the TAG_INC row's
-    report.append object must show the run actually reused at least one
-    level — a memo that silently stopped engaging would still pass a pure
-    ratio gate on a machine where both sides end up doing identical work.
-    """
+    """Evaluates BENCH:TAG_INC:TAG_FULL:MIN specs; returns failure count."""
     failures = 0
     for spec in specs:
         parts = spec.split(":")
@@ -256,11 +198,6 @@ def main():
                          "warning (default 0.15)")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 on regression instead of warning only")
-    ap.add_argument("--speedup", action="append", default=[],
-                    metavar="BENCH:TAG_NUM:TAG_DEN:MIN",
-                    help="hard gate: newest fresh total_seconds ratio "
-                         "TAG_DEN/TAG_NUM for BENCH must be >= MIN "
-                         "(fails even without --strict; repeatable)")
     ap.add_argument("--serve", action="append", default=[],
                     metavar="BENCH:TAG:MIN_QPS:MAX_P99_MS",
                     help="hard gate: newest fresh pmafia-serve-v1 row of "
@@ -268,9 +205,10 @@ def main():
                          "ceiling (fails even without --strict; repeatable)")
     ap.add_argument("--append", action="append", default=[], dest="append_gates",
                     metavar="BENCH:TAG_INC:TAG_FULL:MIN",
-                    help="hard gate: like --speedup on TAG_FULL/TAG_INC, and "
-                         "the TAG_INC row's report.append.levels_reused must "
-                         "be >= 1 (fails even without --strict; repeatable)")
+                    help="hard gate: newest fresh total_seconds ratio "
+                         "TAG_FULL/TAG_INC for BENCH must be >= MIN, and the "
+                         "TAG_INC row's report.append.levels_reused must be "
+                         ">= 1 (fails even without --strict; repeatable)")
     args = ap.parse_args()
 
     baseline = group_rows(load_rows(args.baseline))
@@ -303,11 +241,6 @@ def main():
     for key in sorted(set(baseline) - set(fresh)):
         print(f"{key[0]:<12} {key[1]:<22} {'(baseline only, not re-run)'}")
 
-    speedup_failures = 0
-    if args.speedup:
-        print()
-        speedup_failures = check_speedups(args.speedup,
-                                          group_totals(fresh_raw))
     serve_failures = 0
     if args.serve:
         print()
@@ -321,9 +254,7 @@ def main():
     if regressions:
         print(f"\nWARNING: {regressions} group(s) regressed beyond "
               f"{args.tolerance:.0%}.")
-    if speedup_failures or serve_failures or append_failures:
-        if speedup_failures:
-            print(f"\nFAIL: {speedup_failures} speedup gate(s) violated.")
+    if serve_failures or append_failures:
         if serve_failures:
             print(f"\nFAIL: {serve_failures} serve gate(s) violated.")
         if append_failures:

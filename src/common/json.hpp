@@ -96,9 +96,9 @@ class JsonWriter {
 
   JsonWriter& value(double d) {
     // JSON has no NaN/Infinity literals; %.17g would emit "nan"/"inf" and
-    // corrupt the whole document.  A ratio with a zero denominator (e.g. an
-    // I/O overlap over an empty partition's zero-length scan) serializes as
-    // null instead.
+    // corrupt the whole document.  A non-finite value (e.g. a rate a caller
+    // computed over a zero-length interval, 0/0) serializes as null
+    // instead.
     if (!std::isfinite(d)) return null();
     separate();
     char buf[32];

@@ -12,7 +12,7 @@
 #include "core/trace.hpp"
 #include "common/math_util.hpp"
 #include "grid/uniform_grid.hpp"
-#include "io/pipeline.hpp"
+#include "io/data_source.hpp"
 #include "mp/comm.hpp"
 #include "taskpart/taskpart.hpp"
 #include "units/populate.hpp"
@@ -59,12 +59,7 @@ bool stores_equal(const UnitStore& a, const UnitStore& b) {
 class MafiaWorker {
  public:
   MafiaWorker(const DataSource& data, const MafiaOptions& opt, mp::Comm& comm)
-      : data_(data), opt_(opt), comm_(comm), tracer_(&comm.stats()) {
-    // Each rank owns its pipeline decorator: every scan then spawns
-    // its own producer thread over its own ring, so p ranks prefetch their
-    // p partitions independently (the paper's p local disks).
-    if (opt_.io.prefetch) pipelined_.emplace(data_, opt_.io.buffers);
-  }
+      : data_(data), opt_(opt), comm_(comm), tracer_(&comm.stats()) {}
 
   void run() {
     const auto p = static_cast<std::size_t>(comm_.size());
@@ -719,18 +714,12 @@ class MafiaWorker {
     }
   }
 
-  /// Chunked scan of `rows` (this rank's partition, or its new rows),
-  /// pipelined when opt_.io.prefetch is set and timed either way: the
-  /// scan's I/O split (read vs wait vs compute) is attributed to `phase` in
-  /// the run trace.
+  /// Chunked scan of `rows` (this rank's partition, or its new rows) in
+  /// B-record chunks, timed: the scan's I/O split (read vs compute) is
+  /// attributed to `phase` in the run trace.
   void scan(const BlockRange& rows, const char* phase, const ChunkFn& fn) {
     IoScanStats stats;
-    if (pipelined_) {
-      pipelined_->scan_with_stats(rows.begin, rows.end, opt_.chunk_records,
-                                  fn, stats);
-    } else {
-      timed_scan(data_, rows.begin, rows.end, opt_.chunk_records, fn, stats);
-    }
+    timed_scan(data_, rows.begin, rows.end, opt_.chunk_records, fn, stats);
     tracer_.add_io(phase, stats);
   }
 
@@ -764,7 +753,6 @@ class MafiaWorker {
   const MafiaOptions& opt_;
   mp::Comm& comm_;
   PhaseTracer tracer_;
-  std::optional<PipelinedSource> pipelined_;
   BlockRange my_records_;
   std::uint64_t fingerprint_ = 0;
 
@@ -873,7 +861,6 @@ MafiaResult run_pmafia(const DataSource& data, const MafiaOptions& options,
   // snapshots (so per-phase deltas add up to them exactly).
   result.phases = result.trace.max_phases;
   result.comm = result.trace.comm_total();
-  result.io = options.io;
   result.total_seconds = total.seconds();
   result.num_records = static_cast<std::size_t>(data.num_records());
   result.num_dims = data.num_dims();

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "grid/adaptive_grid.hpp"
-#include "io/pipeline.hpp"
 #include "mp/backend.hpp"
 #include "mp/faults.hpp"
 #include "mp/stats.hpp"
@@ -137,14 +136,6 @@ struct MafiaOptions {
   /// buffer).
   std::size_t chunk_records = 1 << 16;
 
-  /// Pipelined prefetching for the data passes (io/pipeline.hpp): with
-  /// `io.prefetch` set, every chunked scan runs through a PipelinedSource
-  /// so the next chunk is read while the current one is processed.  Results
-  /// are bit-identical either way (the pipeline preserves the synchronous
-  /// chunk sequence); only where the time goes changes, and the per-phase
-  /// io stats in the run report show the split.
-  IoConfig io;
-
   /// Not read by run_pmafia (see PopulateKernel).  The populate regime is
   /// picked by max_cdu_bytes: see there.
   PopulateConfig populate;
@@ -235,7 +226,6 @@ struct MafiaOptions {
 
   void validate() const {
     grid.validate();
-    io.validate();
     require(chunk_records >= 1, "MafiaOptions: chunk_records must be positive");
     require(max_level >= 1, "MafiaOptions: max_level must be positive");
     require(!checkpoint.resume || checkpoint.enabled(),

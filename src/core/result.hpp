@@ -145,11 +145,6 @@ struct MafiaResult {
   /// Incremental append accounting (performed = false off the append path).
   AppendStats append;
 
-  /// The I/O pipeline configuration the run used (copied from
-  /// MafiaOptions::io).  The per-phase and total I/O accounting lives in
-  /// `trace` (PhaseStats::io / RunTrace::io_total).
-  IoConfig io;
-
   /// End-to-end wall-clock seconds (includes rank spawn/join).
   double total_seconds = 0.0;
 

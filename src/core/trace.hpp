@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "io/pipeline.hpp"
+#include "io/data_source.hpp"
 #include "mp/stats.hpp"
 
 namespace mafia {

@@ -12,7 +12,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -49,6 +52,51 @@ class DataSource {
     return static_cast<std::size_t>((n + chunk_records - 1) / chunk_records);
   }
 };
+
+/// I/O accounting for one or more chunked scans: `compute_seconds` is time
+/// inside the chunk callback, `read_seconds` is the rest of the scan
+/// (scan - compute), and `scan_seconds` is the scan's wall time.
+struct IoScanStats {
+  std::uint64_t chunks = 0;
+  std::uint64_t bytes = 0;  ///< value bytes delivered to the callback
+  double read_seconds = 0.0;
+  double compute_seconds = 0.0;
+  double scan_seconds = 0.0;
+
+  void merge(const IoScanStats& other) {
+    chunks += other.chunks;
+    bytes += other.bytes;
+    read_seconds += other.read_seconds;
+    compute_seconds += other.compute_seconds;
+    scan_seconds += other.scan_seconds;
+  }
+
+  /// Fixed-width serialization for the trace exchange (doubles bit-cast to
+  /// preserve exact values across the gather).
+  static constexpr std::size_t kSerializedWords = 5;
+  [[nodiscard]] std::array<std::uint64_t, kSerializedWords> serialize() const {
+    return {chunks, bytes, std::bit_cast<std::uint64_t>(read_seconds),
+            std::bit_cast<std::uint64_t>(compute_seconds),
+            std::bit_cast<std::uint64_t>(scan_seconds)};
+  }
+  [[nodiscard]] static IoScanStats deserialize(const std::uint64_t* words) {
+    IoScanStats s;
+    s.chunks = words[0];
+    s.bytes = words[1];
+    s.read_seconds = std::bit_cast<double>(words[2]);
+    s.compute_seconds = std::bit_cast<double>(words[3]);
+    s.scan_seconds = std::bit_cast<double>(words[4]);
+    return s;
+  }
+
+  [[nodiscard]] bool empty() const { return chunks == 0 && scan_seconds == 0.0; }
+};
+
+/// DataSource::scan of [begin, end) with its I/O accounting merged into
+/// `stats`.  Every data pass of the driver goes through here.
+void timed_scan(const DataSource& source, RecordIndex begin, RecordIndex end,
+                std::size_t chunk_records, const ChunkFn& fn,
+                IoScanStats& stats);
 
 /// Zero-copy source over an in-memory Dataset.
 class InMemorySource final : public DataSource {

@@ -307,10 +307,10 @@ TEST_F(CliPipeline, BudgetBelowTheRunIndexRescansEveryLevel) {
 }
 
 TEST_F(CliPipeline, EmptyRankPartitionsProduceValidReport) {
-  // More ranks than records: some ranks own zero rows, so per-rank io stats
-  // divide by zero-ish totals (the overlap fraction's read_seconds = 0
-  // case).  The run must succeed, the text report must not print garbage
-  // percentages, and the JSON must stay parseable (no bare nan/inf tokens).
+  // More ranks than records: some ranks own zero rows and scan nothing, so
+  // their io stats are all zero.  The run must succeed, the text report
+  // must not print garbage, and the JSON must stay parseable (no bare
+  // nan/inf tokens).
   const std::string report = temp("mafia_cli_empty_report.json");
   ASSERT_EQ(
       run_cli("generate --out " + data_ + " --dims 4 --records 5 --seed 11")
@@ -318,7 +318,7 @@ TEST_F(CliPipeline, EmptyRankPartitionsProduceValidReport) {
       0);
   auto [status, out] = run_cli("cluster --data " + data_ +
                                " --ranks 8 --domain-lo 0 --domain-hi 100"
-                               " --io-prefetch --report-json " + report);
+                               " --report-json " + report);
   ASSERT_EQ(status, 0) << out;
   EXPECT_EQ(out.find("nan"), std::string::npos) << out;
 
@@ -602,13 +602,66 @@ TEST(CliErrors, OversizedFineBinsExitWithUsageCode) {
                     " --seed 3")
                 .first,
             0);
-  for (const std::string value :
-       {"4611686018427387905", "-1", "3000000000"}) {
+  for (const std::string value : {"4611686018427387905", "3000000000"}) {
     auto [status, out] =
         run_cli("cluster --data " + data + " --fine-bins " + value);
     EXPECT_EQ(status, 2) << value << ": " << out;
     EXPECT_NE(out.find("fine_bins above 65536"), std::string::npos)
         << value << ": " << out;
+  }
+  std::remove(data.c_str());
+}
+
+TEST(CliErrors, MalformedNumericFlagsExitWithUsageCode) {
+  // A numeric flag's whole value must parse: no trailing junk, no sign on
+  // a count, a finite number for a real-valued flag, and nothing past the
+  // range of the type the flag sets.  Each is a usage error naming the
+  // flag and the value.  Only values the parser rejects appear here: an
+  // accepted --ranks, --records or --serve-threads value would start that
+  // many threads or rows.
+  const std::string data = temp("mafia_cli_numeric.bin");
+  ASSERT_EQ(run_cli("generate --out " + data + " --dims 4 --records 2000"
+                    " --seed 3")
+                .first,
+            0);
+  const std::string cluster = "cluster --data " + data + " ";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"fine-bins", "12abc"},
+      {"alpha", "1.5x"},
+      {"alpha", "abc"},
+      {"alpha", "nan"},
+      {"beta", "inf"},
+      {"domain-lo", "-inf"},
+      {"domain-hi", "1e39"},  // finite, but past float's range
+      {"ranks", "2x"},
+      {"ranks", "-1"},
+      {"ranks", "4294967298"},  // 2^32 + 2: wraps to 2 as an int
+      {"chunk", "-1"},
+      {"chunk", "+64"},
+      {"chunk", "18446744073709551616"},  // 2^64
+      {"max-cdu-bytes", "-1"},
+      {"min-dims", "-1"},
+      {"fine-bins", "-1"},
+      {"mp-deadline", "1e999"},
+  };
+  for (const auto& [flag, value] : cases) {
+    auto [status, out] = run_cli(cluster + "--" + flag + " " + value);
+    EXPECT_EQ(status, 2) << flag << " " << value << ": " << out;
+    EXPECT_NE(out.find("--" + flag + ": invalid value '" + value + "'"),
+              std::string::npos)
+        << out;
+  }
+  // Count flags of the other subcommands parse the same way.
+  for (const auto& [command, flag] :
+       {std::pair<std::string, std::string>{"generate --out " + data +
+                                                " --records 10x",
+                                            "--records"},
+        {"generate --out " + data + " --seed -3", "--seed"},
+        {"stage --data " + data + " --ranks 1.5", "--ranks"}}) {
+    auto [status, out] = run_cli(command);
+    EXPECT_EQ(status, 2) << command << ": " << out;
+    EXPECT_NE(out.find(flag + ": invalid value"), std::string::npos)
+        << command << ": " << out;
   }
   std::remove(data.c_str());
 }

@@ -1,7 +1,8 @@
 // Integration tests for the pMAFIA driver: planted-cluster recovery,
 // serial/parallel equivalence, the Table 2 binomial CDU trace, out-of-core
 // equivalence, registration of maximal units, option handling, and how
-// often each start state (fresh, resumed, append) reads the records.
+// often each start state (fresh, resumed, append) reads the records, as
+// counted by the source and by the trace's I/O accounting.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -351,8 +352,13 @@ TEST(Core, SimulatedNetworkChangesTimingNotResults) {
   const MafiaResult a = run_pmafia(source, plain, 2);
   const MafiaResult b = run_pmafia(source, simulated, 2);
   EXPECT_EQ(cluster_signature(a), cluster_signature(b));
-  // The delay must actually have been applied (several collectives x 2ms).
-  EXPECT_GT(b.total_seconds, a.total_seconds);
+  // The delay must actually have been applied: every reduce sleeps at
+  // least the 2 ms latency inside its timed scope, so rank 0's comm time
+  // covers that much per reduce (wall time alone is too noisy to compare).
+  ASSERT_FALSE(b.trace.rank_totals.empty());
+  const mp::CommStats& rank0 = b.trace.rank_totals[0];
+  EXPECT_GE(rank0.reduces, 1u);
+  EXPECT_GE(rank0.comm_seconds, 0.002 * static_cast<double>(rank0.reduces));
 }
 
 TEST(Core, MinClusterDimsFilter) {
@@ -548,6 +554,28 @@ class CheckpointDir {
 
 using Profile = std::map<int, std::size_t>;
 
+/// The trace charges one histogram pass and `populate_passes` populate
+/// passes over all `n` records of `d` dims: n·d·4 bytes and, summed over
+/// the `p` ranks, ⌈partition / B⌉ chunks per pass.
+void expect_pass_io(const MafiaResult& r, std::size_t n, std::size_t d,
+                    std::size_t chunk_records, int p,
+                    std::size_t populate_passes) {
+  const std::uint64_t pass_bytes = n * d * sizeof(Value);
+  std::uint64_t pass_chunks = 0;
+  const auto ranks = static_cast<std::size_t>(p);
+  for (std::size_t rank = 0; rank < ranks; ++rank) {
+    pass_chunks += ceil_div(block_partition(n, ranks, rank).size(), chunk_records);
+  }
+  const IoScanStats histogram = r.trace.phase_io("histogram");
+  const IoScanStats populate = r.trace.phase_io("populate");
+  EXPECT_EQ(histogram.bytes, pass_bytes) << "p=" << p;
+  EXPECT_EQ(histogram.chunks, pass_chunks) << "p=" << p;
+  EXPECT_EQ(populate.bytes, populate_passes * pass_bytes) << "p=" << p;
+  EXPECT_EQ(populate.chunks, populate_passes * pass_chunks) << "p=" << p;
+  EXPECT_EQ(r.trace.io_total().bytes, (1 + populate_passes) * pass_bytes)
+      << "p=" << p;
+}
+
 TEST(RecordPasses, FreshRunScansForTheHistogramAndTheIndexOnly) {
   // The default kernel counts every level from the run index: one pass
   // builds the histogram, one builds the index, and no level rescans.
@@ -559,6 +587,7 @@ TEST(RecordPasses, FreshRunScansForTheHistogramAndTheIndexOnly) {
     const MafiaResult r = run_pmafia(source, default_options(), p);
     ASSERT_GE(r.levels.size(), 3u) << "p=" << p;
     EXPECT_EQ(source.profile(0, n), (Profile{{2, n}})) << "p=" << p;
+    expect_pass_io(r, n, data.num_dims(), default_options().chunk_records, p, 1);
     source.reset();
   }
 }
@@ -585,6 +614,7 @@ TEST(RecordPasses, BudgetBelowTheRunIndexRescansOncePerLevel) {
     ASSERT_GE(r.levels.size(), 3u) << "p=" << p;
     const int passes = 1 + static_cast<int>(r.levels.size());
     EXPECT_EQ(source.profile(0, n), (Profile{{passes, n}})) << "p=" << p;
+    expect_pass_io(r, n, data.num_dims(), opts.chunk_records, p, r.levels.size());
     EXPECT_EQ(cluster_signature(r), cluster_signature(indexed)) << "p=" << p;
     ASSERT_EQ(r.levels.size(), indexed.levels.size()) << "p=" << p;
     for (std::size_t l = 0; l < r.levels.size(); ++l) {

@@ -25,7 +25,6 @@
 
 #include "io/data_source.hpp"
 #include "io/dataset.hpp"
-#include "io/pipeline.hpp"
 #include "io/record_file.hpp"
 
 namespace mafia {
@@ -104,6 +103,36 @@ TEST(CorruptRecordFile, TruncatedMidRow) {
                      {"size mismatch", tmp.path()});
   expect_input_error([&] { (void)FileSource(tmp.path()); },
                      {"size mismatch", tmp.path()});
+}
+
+TEST(CorruptRecordFile, TruncatedAfterOpenDeliversWholeChunksThenFails) {
+  // A file cut mid-row after FileSource read its header: the scan delivers
+  // every whole chunk before the cut, unchanged, then fails with an
+  // InputError naming the file.
+  TempFile tmp("mafia_corrupt_after_open.rec");
+  const std::size_t d = 4;
+  const Dataset data = make_dataset(100, d);
+  write_record_file(tmp.path(), data, /*with_labels=*/false);
+  const FileSource file(tmp.path());
+  std::filesystem::resize_file(
+      tmp.path(), kRecordFileHeaderBytes + 37 * d * sizeof(Value) + 7);
+
+  std::vector<Value> delivered;
+  std::size_t chunks = 0;
+  expect_input_error(
+      [&] {
+        file.scan(0, 100, 10, [&](const Value* rows, std::size_t nrows) {
+          EXPECT_EQ(nrows, 10u);
+          delivered.insert(delivered.end(), rows, rows + nrows * d);
+          ++chunks;
+        });
+      },
+      {"truncated read", tmp.path()});
+  EXPECT_EQ(chunks, 3u);  // 30 of 37 whole rows in 10-row chunks
+  EXPECT_TRUE(std::equal(delivered.begin(), delivered.end(),
+                         data.values().begin(),
+                         data.values().begin() + 30 * d));
+  EXPECT_EQ(delivered.size(), 30 * d);
 }
 
 TEST(CorruptRecordFile, TruncatedLabelBlock) {
@@ -228,12 +257,6 @@ TEST(CorruptRecordFile, NaNPinnedToRecordDimAndByteOffset) {
   const FileSource file(tmp.path());
   expect_input_error(
       [&] { file.scan(0, 100, 10, [](const Value*, std::size_t) {}); },
-      fragments);
-
-  // Pipelined wrapper: the producer-side InputError crosses the ring.
-  const PipelinedSource piped(file, 2);
-  expect_input_error(
-      [&] { piped.scan(0, 100, 10, [](const Value*, std::size_t) {}); },
       fragments);
 }
 

@@ -1,27 +1,23 @@
-// Cross-source differential tests for the pipelined prefetching I/O layer
-// (io/pipeline.hpp):
+// Cross-source differential tests for the data-pass pipeline: every pass
+// the driver makes over the records is one synchronous timed_scan over a
+// DataSource (io/data_source.hpp), whatever the source.
 //   * chunk-sequence equivalence — randomized (begin, end, chunk_records)
-//     sweeps proving InMemorySource, FileSource, StagedSource, and any of
-//     them wrapped in PipelinedSource deliver bit-identical chunk
-//     sequences (same boundaries, same bytes, same order);
-//   * driver bit-identity — run_pmafia with prefetch on vs off yields
-//     identical clusters and per-level populate checksums at every rank
-//     count, over in-memory, file, and staged sources;
-//   * I/O accounting — timed_scan's wait == read contract, serialization
-//     round trip, merge;
-//   * fault safety — a consumer-side exception (FaultError, AbortedError)
-//     at any chunk unwinds the producer thread without deadlock and
-//     rethrows unchanged; a producer-side failure (truncated file)
-//     delivers exactly the synchronous scan's prefix, then rethrows; the
-//     driver's injected kills and delays behave identically with the
-//     pipeline on.  The CI TSan and fault-matrix legs run this suite.
+//     sweeps proving InMemorySource, FileSource and StagedSource deliver
+//     bit-identical chunk sequences (same boundaries, same bytes, same
+//     order);
+//   * driver bit-identity — run_pmafia yields identical clusters, per-level
+//     populate checksums and scanned bytes at every rank count, over
+//     in-memory, file, and staged sources;
+//   * I/O accounting — timed_scan's chunk and byte counts, and its
+//     read = scan - compute split.
+// The CI TSan leg runs this suite (p ranks scan one file concurrently).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -29,11 +25,8 @@
 #include "core/mafia.hpp"
 #include "datagen/generator.hpp"
 #include "io/data_source.hpp"
-#include "io/pipeline.hpp"
 #include "io/record_file.hpp"
 #include "io/staging.hpp"
-#include "mp/barrier.hpp"
-#include "mp/faults.hpp"
 
 namespace mafia {
 namespace {
@@ -82,7 +75,7 @@ std::uint64_t fnv_bytes(const void* data, std::size_t nbytes) {
 }
 
 /// The full chunk sequence a scan delivers — the object the differential
-/// tests compare across sources and pipeline wrappings.
+/// tests compare across sources.
 std::vector<ChunkSig> chunk_sigs(const DataSource& source, RecordIndex begin,
                                  RecordIndex end, std::size_t chunk_records) {
   std::vector<ChunkSig> sigs;
@@ -113,7 +106,6 @@ TEST(PipelineEquivalence, CrossSourceChunkSequences) {
 
   const InMemorySource mem(data);
   const FileSource file(rec.path());
-  const ThrottledSource throttled(mem, /*bytes_per_second=*/1e12);
 
   // Edge triples first, then a randomized sweep.
   std::vector<std::tuple<RecordIndex, RecordIndex, std::size_t>> cases = {
@@ -135,21 +127,9 @@ TEST(PipelineEquivalence, CrossSourceChunkSequences) {
   }
 
   for (const auto& [begin, end, chunk] : cases) {
-    const std::vector<ChunkSig> expect = chunk_sigs(mem, begin, end, chunk);
-    const std::string where = "range [" + std::to_string(begin) + ", " +
-                              std::to_string(end) + ") chunk " +
-                              std::to_string(chunk);
-    EXPECT_EQ(chunk_sigs(file, begin, end, chunk), expect) << "file, " << where;
-    EXPECT_EQ(chunk_sigs(throttled, begin, end, chunk), expect)
-        << "throttled, " << where;
-    for (const std::size_t buffers : {2u, 3u, 5u}) {
-      const PipelinedSource piped_mem(mem, buffers);
-      const PipelinedSource piped_file(file, buffers);
-      EXPECT_EQ(chunk_sigs(piped_mem, begin, end, chunk), expect)
-          << "pipelined(mem, " << buffers << "), " << where;
-      EXPECT_EQ(chunk_sigs(piped_file, begin, end, chunk), expect)
-          << "pipelined(file, " << buffers << "), " << where;
-    }
+    EXPECT_EQ(chunk_sigs(file, begin, end, chunk),
+              chunk_sigs(mem, begin, end, chunk))
+        << "range [" << begin << ", " << end << ") chunk " << chunk;
   }
 }
 
@@ -172,8 +152,8 @@ TEST(PipelineEquivalence, StagedSourceAcrossRankCounts) {
 
     // Partition-aligned scans — the driver's access pattern (rank r scans
     // its own block partition only) — must reproduce the in-memory chunk
-    // sequence exactly, pipelined or not, including chunk_records larger
-    // than the partition and the empty range.
+    // sequence exactly, including chunk_records larger than the partition
+    // and the empty range.
     for (int r = 0; r < p; ++r) {
       const BlockRange part =
           block_partition(static_cast<std::size_t>(n), static_cast<std::size_t>(p),
@@ -183,12 +163,9 @@ TEST(PipelineEquivalence, StagedSourceAcrossRankCounts) {
       EXPECT_EQ(staged.partitions_touched(begin, end), 1u) << "p=" << p;
       for (const std::size_t chunk :
            {std::size_t{31}, static_cast<std::size_t>(n) + 1}) {
-        const std::vector<ChunkSig> expect = chunk_sigs(mem, begin, end, chunk);
-        EXPECT_EQ(chunk_sigs(staged, begin, end, chunk), expect)
+        EXPECT_EQ(chunk_sigs(staged, begin, end, chunk),
+                  chunk_sigs(mem, begin, end, chunk))
             << "staged p=" << p << " rank " << r;
-        const PipelinedSource piped(staged, /*buffers=*/3);
-        EXPECT_EQ(chunk_sigs(piped, begin, end, chunk), expect)
-            << "pipelined(staged) p=" << p << " rank " << r;
       }
       EXPECT_TRUE(chunk_sigs(staged, begin, begin, 8).empty());
     }
@@ -205,10 +182,8 @@ TEST(PipelineEquivalence, StagedSourceAcrossRankCounts) {
     };
     const RecordIndex lo = n / 3;
     const RecordIndex hi = (2 * n) / 3 + 7;
-    const std::vector<Value> expect_rows = row_stream(mem, lo, hi, 31);
-    EXPECT_EQ(row_stream(staged, lo, hi, 31), expect_rows) << "p=" << p;
-    const PipelinedSource piped(staged, /*buffers=*/2);
-    EXPECT_EQ(row_stream(piped, lo, hi, 31), expect_rows) << "p=" << p;
+    EXPECT_EQ(row_stream(staged, lo, hi, 31), row_stream(mem, lo, hi, 31))
+        << "p=" << p;
     remove_staged(parts);
   }
 }
@@ -235,6 +210,10 @@ std::string result_fingerprint(const MafiaResult& r) {
 }
 
 TEST(PipelineEquivalence, DriverBitIdenticalAcrossSourcesAndPrefetch) {
+  // Every data pass is the same synchronous scan whatever feeds it: one
+  // shared record file that every rank scans concurrently and per-rank
+  // staged partitions give the in-memory result bit for bit, and read the
+  // same bytes, at every rank count.
   GeneratorConfig cfg;
   cfg.num_dims = 8;
   cfg.num_records = 6000;
@@ -247,13 +226,14 @@ TEST(PipelineEquivalence, DriverBitIdenticalAcrossSourcesAndPrefetch) {
   const InMemorySource mem(data);
   const FileSource file(rec.path());
 
-  MafiaOptions base;
-  base.fixed_domain = {{0.0f, 100.0f}};
-  base.chunk_records = 700;  // several chunks per rank partition
+  MafiaOptions options;
+  options.fixed_domain = {{0.0f, 100.0f}};
+  options.chunk_records = 700;  // several chunks per rank partition
 
-  const MafiaResult reference = run_pmafia(mem, base, 1);
+  const MafiaResult reference = run_pmafia(mem, options, 1);
   const std::string expect = result_fingerprint(reference);
   ASSERT_FALSE(reference.levels.empty());
+  ASSERT_FALSE(reference.clusters.empty());
 
   for (const int p : {1, 2, 3, 5, 8}) {
     const std::string prefix =
@@ -263,30 +243,16 @@ TEST(PipelineEquivalence, DriverBitIdenticalAcrossSourcesAndPrefetch) {
     const StagedPartitions parts = stage_partitions(rec.path(), prefix, p);
     const StagedSource staged(parts);
 
-    std::uint64_t bytes_off = 0;
-    for (const std::size_t buffers : {0u, 2u, 4u}) {  // 0 = prefetch off
-      MafiaOptions options = base;
-      options.io.prefetch = buffers != 0;
-      if (buffers != 0) options.io.buffers = buffers;
-
-      const MafiaResult r_mem = run_pmafia(mem, options, p);
-      EXPECT_EQ(result_fingerprint(r_mem), expect)
-          << "mem p=" << p << " buffers=" << buffers;
-      EXPECT_EQ(run_pmafia(file, options, p).io.prefetch, options.io.prefetch);
-      EXPECT_EQ(result_fingerprint(run_pmafia(file, options, p)), expect)
-          << "file p=" << p << " buffers=" << buffers;
-      EXPECT_EQ(result_fingerprint(run_pmafia(staged, options, p)), expect)
-          << "staged p=" << p << " buffers=" << buffers;
-
-      // Same scans either way: total bytes read must not depend on the
-      // pipeline (only the read/wait split does).
-      const IoScanStats total = r_mem.trace.io_total();
-      EXPECT_GT(total.bytes, 0u);
-      if (buffers == 0) {
-        bytes_off = total.bytes;
-      } else {
-        EXPECT_EQ(total.bytes, bytes_off) << "p=" << p << " buffers=" << buffers;
-      }
+    const MafiaResult r_mem = run_pmafia(mem, options, p);
+    EXPECT_EQ(result_fingerprint(r_mem), expect) << "mem p=" << p;
+    const std::uint64_t bytes = r_mem.trace.io_total().bytes;
+    EXPECT_GT(bytes, 0u);
+    for (const auto& [name, source] :
+         {std::pair<const char*, const DataSource*>{"file", &file},
+          {"staged", &staged}}) {
+      const MafiaResult r = run_pmafia(*source, options, p);
+      EXPECT_EQ(result_fingerprint(r), expect) << name << " p=" << p;
+      EXPECT_EQ(r.trace.io_total().bytes, bytes) << name << " p=" << p;
     }
     remove_staged(parts);
   }
@@ -295,6 +261,8 @@ TEST(PipelineEquivalence, DriverBitIdenticalAcrossSourcesAndPrefetch) {
 // ------------------------------------------------------------- accounting
 
 TEST(PipelineStats, TimedScanWaitEqualsRead) {
+  // A synchronous scan waits for exactly its reads: the time the scan does
+  // not spend in the callback is all charged to read_seconds.
   const Dataset data = make_dataset(500, 3);
   const InMemorySource mem(data);
   IoScanStats stats;
@@ -305,240 +273,31 @@ TEST(PipelineStats, TimedScanWaitEqualsRead) {
   EXPECT_EQ(rows_seen, 500u);
   EXPECT_EQ(stats.chunks, 8u);  // ceil(500/64)
   EXPECT_EQ(stats.bytes, 500u * 3u * sizeof(Value));
-  EXPECT_DOUBLE_EQ(stats.wait_seconds, stats.read_seconds);
-  EXPECT_DOUBLE_EQ(stats.overlap_fraction(), 0.0);
   EXPECT_GE(stats.scan_seconds, stats.compute_seconds);
+  EXPECT_DOUBLE_EQ(stats.read_seconds, stats.scan_seconds - stats.compute_seconds);
 }
 
 TEST(PipelineStats, PipelinedScanCountsChunksAndBytes) {
+  // A subrange counts only its own chunks and bytes; later scans
+  // accumulate into the same record; an empty range delivers nothing.
   const Dataset data = make_dataset(1000, 4);
   const InMemorySource mem(data);
-  const PipelinedSource piped(mem, 2);
   IoScanStats stats;
-  piped.scan_with_stats(100, 900, 128, [](const Value*, std::size_t) {}, stats);
+  timed_scan(mem, 100, 900, 128, [](const Value*, std::size_t) {}, stats);
   EXPECT_EQ(stats.chunks, 7u);  // ceil(800/128)
   EXPECT_EQ(stats.bytes, 800u * 4u * sizeof(Value));
   EXPECT_GE(stats.scan_seconds, 0.0);
 
-  // Empty range: one merged no-op, no producer thread.
+  timed_scan(mem, 0, 500, 64, [](const Value*, std::size_t) {}, stats);
+  EXPECT_EQ(stats.chunks, 7u + 8u);  // + ceil(500/64)
+  EXPECT_EQ(stats.bytes, 1300u * 4u * sizeof(Value));
+
   IoScanStats empty;
-  piped.scan_with_stats(5, 5, 16, [](const Value*, std::size_t) {
+  timed_scan(mem, 5, 5, 16, [](const Value*, std::size_t) {
     FAIL() << "callback on empty range";
   }, empty);
   EXPECT_EQ(empty.chunks, 0u);
   EXPECT_EQ(empty.bytes, 0u);
-}
-
-TEST(PipelineStats, SerializationRoundTripAndMerge) {
-  IoScanStats a;
-  a.chunks = 7;
-  a.bytes = 123456;
-  a.read_seconds = 0.25;
-  a.wait_seconds = 0.125;
-  a.compute_seconds = 1.5;
-  a.scan_seconds = 1.75;
-  const auto words = a.serialize();
-  const IoScanStats b = IoScanStats::deserialize(words.data());
-  EXPECT_EQ(b.chunks, a.chunks);
-  EXPECT_EQ(b.bytes, a.bytes);
-  EXPECT_DOUBLE_EQ(b.read_seconds, a.read_seconds);
-  EXPECT_DOUBLE_EQ(b.wait_seconds, a.wait_seconds);
-  EXPECT_DOUBLE_EQ(b.compute_seconds, a.compute_seconds);
-  EXPECT_DOUBLE_EQ(b.scan_seconds, a.scan_seconds);
-  EXPECT_DOUBLE_EQ(a.overlap_fraction(), 0.5);
-
-  IoScanStats sum = a;
-  sum.merge(b);
-  EXPECT_EQ(sum.chunks, 14u);
-  EXPECT_DOUBLE_EQ(sum.read_seconds, 0.5);
-  EXPECT_FALSE(sum.empty());
-  EXPECT_TRUE(IoScanStats{}.empty());
-}
-
-TEST(PipelineStats, ConfigValidation) {
-  EXPECT_NO_THROW(IoConfig{}.validate());
-  IoConfig tiny;
-  tiny.buffers = 1;
-  EXPECT_THROW(tiny.validate(), Error);
-  const Dataset data = make_dataset(10, 2);
-  const InMemorySource mem(data);
-  EXPECT_THROW(PipelinedSource(mem, 1), Error);
-  EXPECT_THROW(ThrottledSource(mem, 0.0), Error);
-
-  const PipelinedSource piped(mem, 2);
-  EXPECT_THROW(piped.scan(0, 20, 4, [](const Value*, std::size_t) {}), Error)
-      << "range beyond num_records";
-  EXPECT_THROW(piped.scan(0, 10, 0, [](const Value*, std::size_t) {}), Error)
-      << "zero chunk_records";
-}
-
-// ------------------------------------------------------------ fault safety
-
-TEST(PipelineFaults, ConsumerThrowAtEveryChunkUnwindsProducer) {
-  // A consumer-side failure at chunk k must cancel + join the producer and
-  // rethrow the original exception — for every k, including the last
-  // chunk, and for the smallest ring (the producer is likely blocked on a
-  // full ring when the consumer dies).
-  const Dataset data = make_dataset(256, 3);
-  const InMemorySource mem(data);
-  const std::size_t nchunks = 8;  // 256 / 32
-  for (const std::size_t buffers : {2u, 4u}) {
-    const PipelinedSource piped(mem, buffers);
-    for (std::size_t k = 0; k < nchunks; ++k) {
-      std::size_t seen = 0;
-      try {
-        piped.scan(0, 256, 32, [&](const Value*, std::size_t) {
-          if (seen == k) throw mp::FaultError("injected fault: consumer");
-          ++seen;
-        });
-        FAIL() << "expected FaultError at chunk " << k;
-      } catch (const mp::FaultError& e) {
-        EXPECT_EQ(e.error_class(), ErrorClass::Fault);
-        EXPECT_EQ(seen, k);
-      }
-    }
-  }
-}
-
-TEST(PipelineFaults, ConcurrentRankScansEachUnwind) {
-  // p rank threads each running its own pipelined scan over its own
-  // partition, each dying at a different chunk: every thread must unwind
-  // independently (p producer threads cancelled + joined, no cross-talk).
-  const Dataset data = make_dataset(4096, 3);
-  const InMemorySource mem(data);
-  for (const int p : {2, 3, 5, 8}) {
-    std::vector<int> caught(static_cast<std::size_t>(p), 0);
-    std::vector<std::thread> ranks;
-    ranks.reserve(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      ranks.emplace_back([&, r] {
-        const RecordIndex lo = 4096 / p * r;
-        const RecordIndex hi = (r == p - 1) ? 4096 : 4096 / p * (r + 1);
-        const PipelinedSource piped(mem, 2 + static_cast<std::size_t>(r) % 3);
-        const std::size_t kill_at = static_cast<std::size_t>(r) % 4;
-        std::size_t seen = 0;
-        try {
-          piped.scan(lo, hi, 64, [&](const Value*, std::size_t) {
-            if (seen == kill_at) throw mp::FaultError("injected fault: rank");
-            ++seen;
-          });
-        } catch (const mp::FaultError&) {
-          caught[static_cast<std::size_t>(r)] = 1;
-        }
-      });
-    }
-    for (std::thread& t : ranks) t.join();
-    for (int r = 0; r < p; ++r) {
-      EXPECT_EQ(caught[static_cast<std::size_t>(r)], 1) << "rank " << r << " p=" << p;
-    }
-  }
-}
-
-TEST(PipelineFaults, AbortedErrorPassesThroughUnchanged) {
-  // The mp runtime treats AbortedError as a sibling's echo and swallows
-  // it; the pipeline must rethrow it as-is, not wrap it.
-  const Dataset data = make_dataset(128, 2);
-  const InMemorySource mem(data);
-  const PipelinedSource piped(mem, 2);
-  std::size_t seen = 0;
-  EXPECT_THROW(piped.scan(0, 128, 16, [&](const Value*, std::size_t) {
-    if (++seen == 2) throw mp::AbortedError();
-  }), mp::AbortedError);
-}
-
-TEST(PipelineFaults, ProducerFailureDeliversSyncPrefixThenRethrows) {
-  // Truncate a record file mid-row: the synchronous FileSource scan
-  // delivers some complete chunks then throws InputError.  The pipelined
-  // scan must deliver exactly the same prefix and then the same error.
-  const std::size_t d = 4;
-  const Dataset data = make_dataset(100, d);
-  TempFile rec("mafia_pipe_truncated.rec");
-  write_record_file(rec.path(), data, /*with_labels=*/false);
-  const FileSource file(rec.path());  // header read while file was intact
-  std::filesystem::resize_file(
-      rec.path(), kRecordFileHeaderBytes + 37 * d * sizeof(Value) + 7);
-
-  const auto collect = [&](std::vector<ChunkSig>& sigs) -> std::string {
-    try {
-      file.scan(0, 100, 10, [&](const Value* rows, std::size_t nrows) {
-        sigs.push_back({nrows, fnv_bytes(rows, nrows * d * sizeof(Value))});
-      });
-    } catch (const Error& e) {
-      EXPECT_EQ(e.error_class(), ErrorClass::Input);
-      return e.what();
-    }
-    return "";
-  };
-  std::vector<ChunkSig> sync_prefix;
-  const std::string sync_what = collect(sync_prefix);
-  ASSERT_FALSE(sync_what.empty()) << "sync scan should have failed";
-  EXPECT_EQ(sync_prefix.size(), 3u);  // 30 of 37 full rows in 10-row chunks
-
-  const PipelinedSource piped(file, 2);
-  std::vector<ChunkSig> piped_prefix;
-  std::string piped_what;
-  try {
-    piped.scan(0, 100, 10, [&](const Value* rows, std::size_t nrows) {
-      piped_prefix.push_back({nrows, fnv_bytes(rows, nrows * d * sizeof(Value))});
-    });
-    FAIL() << "pipelined scan should rethrow the producer's InputError";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.error_class(), ErrorClass::Input);
-    piped_what = e.what();
-  }
-  EXPECT_EQ(piped_prefix, sync_prefix);
-  EXPECT_EQ(piped_what, sync_what);
-}
-
-TEST(PipelineFaults, DriverKillWithPrefetchUnwinds) {
-  // The PR-3 contract, now with p extra producer threads in flight: an
-  // injected rank death mid-run must unwind every rank AND every pipeline
-  // producer (join, not deadlock — ctest timeouts enforce it), and a
-  // clean rerun must succeed.
-  GeneratorConfig cfg;
-  cfg.num_dims = 6;
-  cfg.num_records = 4000;
-  cfg.seed = 11;
-  cfg.clusters.push_back(ClusterSpec::box({1, 4}, {20, 20}, {35, 35}));
-  const Dataset data = generate(cfg);
-  const InMemorySource source(data);
-
-  MafiaOptions options;
-  options.fixed_domain = {{0.0f, 100.0f}};
-  options.chunk_records = 256;
-  options.io.prefetch = true;
-  options.io.buffers = 2;
-
-  for (const int p : {2, 3, 8}) {
-    for (const std::uint64_t op : {0ull, 2ull}) {
-      MafiaOptions faulty = options;
-      faulty.fault_plan.kill(/*rank=*/p - 1, op);
-      EXPECT_THROW((void)run_pmafia(source, faulty, p), mp::FaultError)
-          << "p=" << p << " op=" << op;
-    }
-    const MafiaResult clean = run_pmafia(source, options, p);
-    EXPECT_EQ(clean.clusters.size(), 1u) << "p=" << p;
-  }
-}
-
-TEST(PipelineFaults, DriverDelayWithPrefetchKeepsResults) {
-  GeneratorConfig cfg;
-  cfg.num_dims = 6;
-  cfg.num_records = 4000;
-  cfg.seed = 11;
-  cfg.clusters.push_back(ClusterSpec::box({1, 4}, {20, 20}, {35, 35}));
-  const Dataset data = generate(cfg);
-  const InMemorySource source(data);
-
-  MafiaOptions options;
-  options.fixed_domain = {{0.0f, 100.0f}};
-  options.chunk_records = 256;
-  options.io.prefetch = true;
-
-  const std::string expect = result_fingerprint(run_pmafia(source, options, 3));
-  MafiaOptions delayed = options;
-  delayed.fault_plan.delay(/*rank=*/1, /*op=*/1, /*seconds=*/0.02);
-  EXPECT_EQ(result_fingerprint(run_pmafia(source, delayed, 3)), expect);
 }
 
 }  // namespace

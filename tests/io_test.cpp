@@ -1,6 +1,6 @@
-// Tests for the I/O substrate: binary record files, chunked scans, and the
+// Tests for the I/O substrate: binary record files, chunked scans, the
 // in-memory / out-of-core DataSource equivalence the disk-based algorithm
-// depends on.
+// depends on, and the IoScanStats record a timed scan fills.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -209,6 +209,34 @@ TEST(DataSource, FileSourceSupportsConcurrentScans) {
   ASSERT_EQ(b.size(), 100u);
   EXPECT_EQ(a[0], 0.0f);
   EXPECT_EQ(b[0], 5000.0f);
+}
+
+// ------------------------------------------------------------- accounting
+
+TEST(DataSource, IoScanStatsRoundTripAndMerge) {
+  IoScanStats a;
+  a.chunks = 7;
+  a.bytes = 123456;
+  a.read_seconds = 0.25;
+  a.compute_seconds = 1.5;
+  a.scan_seconds = 1.75;
+  const auto words = a.serialize();
+  const IoScanStats b = IoScanStats::deserialize(words.data());
+  EXPECT_EQ(b.chunks, a.chunks);
+  EXPECT_EQ(b.bytes, a.bytes);
+  EXPECT_DOUBLE_EQ(b.read_seconds, a.read_seconds);
+  EXPECT_DOUBLE_EQ(b.compute_seconds, a.compute_seconds);
+  EXPECT_DOUBLE_EQ(b.scan_seconds, a.scan_seconds);
+
+  IoScanStats sum = a;
+  sum.merge(b);
+  EXPECT_EQ(sum.chunks, 14u);
+  EXPECT_EQ(sum.bytes, 246912u);
+  EXPECT_DOUBLE_EQ(sum.read_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(sum.compute_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(sum.scan_seconds, 3.5);
+  EXPECT_FALSE(sum.empty());
+  EXPECT_TRUE(IoScanStats{}.empty());
 }
 
 }  // namespace

@@ -23,12 +23,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -62,17 +65,42 @@ const std::map<std::string, bool> kFlags = {
     {"checkpoint-dir", true}, {"chunk", true},         {"cluster", true},
     {"data", true},          {"dims", true},           {"domain-hi", true},
     {"domain-lo", true},     {"fine-bins", true},      {"inject-fault", true},
-    {"io-buffers", true},    {"io-prefetch", false},   {"listen", true},
-    {"max-batch", true},     {"max-cdu-bytes", true},  {"min-dims", true},
-    {"model", true},         {"mp-backend", true},     {"mp-deadline", true},
-    {"mp-shm-slot", true},   {"noise", true},          {"noise-sigmas", true},
-    {"out", true},           {"prefix", true},         {"ranks", true},
-    {"records", true},       {"report-json", true},    {"resume", false},
-    {"save", true},          {"seed", true},           {"serve-threads", true},
-    {"stats", false},        {"tau", true},            {"true-clusters", true},
-    {"window-cells", true},  {"workload", true},       {"workloads", true},
-    {"xi", true},
+    {"listen", true},        {"max-batch", true},      {"max-cdu-bytes", true},
+    {"min-dims", true},      {"model", true},          {"mp-backend", true},
+    {"mp-deadline", true},   {"mp-shm-slot", true},    {"noise", true},
+    {"noise-sigmas", true},  {"out", true},            {"prefix", true},
+    {"ranks", true},         {"records", true},        {"report-json", true},
+    {"resume", false},       {"save", true},           {"seed", true},
+    {"serve-threads", true}, {"stats", false},         {"tau", true},
+    {"true-clusters", true}, {"window-cells", true},   {"workload", true},
+    {"workloads", true},     {"xi", true},
 };
+
+/// Strict non-negative integer parse: the whole token must be digits (no
+/// sign, no blanks) and fit 64 bits.  "abc" must be a loud Usage error,
+/// not a silent 0 (what a bare strtol would yield — and a fault spec that
+/// silently targets rank 0 at op 0 is a test that tests nothing).
+bool parse_nonneg(const std::string& tok, std::uint64_t* out) {
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+  if (errno != 0 || end != tok.c_str() + tok.size()) return false;
+  *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+/// Strict double parse: the whole token must be one finite number.
+bool parse_finite(const std::string& tok, double* out) {
+  if (tok.empty() || std::isspace(static_cast<unsigned char>(tok[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end != tok.c_str() + tok.size() || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
 
 /// Minimal --flag value parser: flags() holds every "--name value" pair;
 /// repeated flags accumulate.  Valueless flags (see kFlags) consume none.
@@ -102,13 +130,34 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second.back();
   }
-  [[nodiscard]] long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.back().c_str(), nullptr, 10);
+  /// A count flag as the type T it sets: digits only, within T's range.
+  template <typename T>
+  [[nodiscard]] T get_count(const std::string& key, T fallback) const {
+    if (!has(key)) return fallback;
+    const std::string text = get(key);
+    std::uint64_t v = 0;
+    require(parse_nonneg(text, &v) &&
+                v <= static_cast<std::uint64_t>(std::numeric_limits<T>::max()),
+            "--" + key + ": invalid value '" + text +
+                "' (expected an integer from 0 to " +
+                std::to_string(std::numeric_limits<T>::max()) + ")");
+    return static_cast<T>(v);
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.back().c_str(), nullptr);
+    if (!has(key)) return fallback;
+    const std::string text = get(key);
+    double v = 0.0;
+    require(parse_finite(text, &v), "--" + key + ": invalid value '" + text +
+                                        "' (expected a finite number)");
+    return v;
+  }
+  /// A data-value flag: a finite number within the range of Value (float).
+  [[nodiscard]] Value get_value(const std::string& key, Value fallback) const {
+    const double v = get_double(key, fallback);
+    require(std::fabs(v) <= std::numeric_limits<Value>::max(),
+            "--" + key + ": invalid value '" + get(key) +
+                "' (expected a number within float range)");
+    return static_cast<Value>(v);
   }
   [[nodiscard]] std::vector<std::string> all(const std::string& key) const {
     const auto it = values_.find(key);
@@ -145,33 +194,6 @@ ClusterSpec parse_cluster(const std::string& text) {
                           std::vector<Value>(k, hi));
 }
 
-/// Strict non-negative integer parse: the whole token must be digits.
-/// "abc" must be a loud Usage error, not a silent 0 (what a bare strtol
-/// would yield — and a fault spec that silently targets rank 0 at op 0 is
-/// a test that tests nothing).
-bool parse_nonneg(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end != tok.c_str() + tok.size() || tok[0] == '-') {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-/// Strict non-negative double parse (same rationale as parse_nonneg).
-bool parse_nonneg_double(const std::string& tok, double* out) {
-  if (tok.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (errno != 0 || end != tok.c_str() + tok.size() || v < 0.0) return false;
-  *out = v;
-  return true;
-}
-
 /// Parses one --inject-fault spec "rank:op" (kill) or "rank:op:seconds"
 /// (delay) into the plan.  `op` addresses the fault point either by the
 /// rank's global op index (a non-negative integer) or by op name with an
@@ -193,17 +215,17 @@ void parse_fault_spec(const std::string& text, int ranks,
   require(parse_nonneg(text.substr(0, c1), &rank_value),
           "--inject-fault: invalid rank '" + text.substr(0, c1) + "' (" +
               syntax + ")");
+  require(rank_value < static_cast<std::uint64_t>(ranks),
+          "--inject-fault: rank " + std::to_string(rank_value) +
+              " out of range for --ranks " + std::to_string(ranks));
   const int rank = static_cast<int>(rank_value);
-  require(rank < ranks, "--inject-fault: rank " + std::to_string(rank) +
-                            " out of range for --ranks " +
-                            std::to_string(ranks));
 
   const std::string op_text = text.substr(
       c1 + 1, c2 == std::string::npos ? std::string::npos : c2 - c1 - 1);
   double delay = 0.0;
   const bool is_delay = c2 != std::string::npos;
   if (is_delay) {
-    require(parse_nonneg_double(text.substr(c2 + 1), &delay),
+    require(parse_finite(text.substr(c2 + 1), &delay) && delay >= 0.0,
             "--inject-fault: invalid delay '" + text.substr(c2 + 1) +
                 "' (must be non-negative seconds)");
   }
@@ -281,34 +303,25 @@ MafiaOptions options_from_args(const Args& args) {
   MafiaOptions o;
   o.grid.alpha = args.get_double("alpha", o.grid.alpha);
   o.grid.beta = args.get_double("beta", o.grid.beta);
-  o.grid.fine_bins = static_cast<std::size_t>(
-      args.get_int("fine-bins", static_cast<long>(o.grid.fine_bins)));
-  o.grid.window_cells = static_cast<std::size_t>(
-      args.get_int("window-cells", static_cast<long>(o.grid.window_cells)));
+  o.grid.fine_bins = args.get_count("fine-bins", o.grid.fine_bins);
+  o.grid.window_cells = args.get_count("window-cells", o.grid.window_cells);
   o.grid.merge_noise_sigmas =
       args.get_double("noise-sigmas", o.grid.merge_noise_sigmas);
-  o.chunk_records = static_cast<std::size_t>(
-      args.get_int("chunk", static_cast<long>(o.chunk_records)));
-  o.min_cluster_dims = static_cast<std::size_t>(
-      args.get_int("min-dims", static_cast<long>(o.min_cluster_dims)));
+  o.chunk_records = args.get_count("chunk", o.chunk_records);
+  o.min_cluster_dims = args.get_count("min-dims", o.min_cluster_dims);
   if (args.has("domain-lo") || args.has("domain-hi")) {
-    o.fixed_domain = {{static_cast<Value>(args.get_double("domain-lo", 0.0)),
-                       static_cast<Value>(args.get_double("domain-hi", 100.0))}};
+    o.fixed_domain = {{args.get_value("domain-lo", 0.0f),
+                       args.get_value("domain-hi", 100.0f)}};
   }
-  o.io.prefetch = args.has("io-prefetch");
-  o.io.buffers = static_cast<std::size_t>(
-      args.get_int("io-buffers", static_cast<long>(o.io.buffers)));
   o.checkpoint.directory = args.get("checkpoint-dir");
   o.checkpoint.resume = args.has("resume");
-  o.max_cdu_bytes =
-      static_cast<std::size_t>(args.get_int("max-cdu-bytes", 0));
+  o.max_cdu_bytes = args.get_count<std::size_t>("max-cdu-bytes", 0);
   if (args.has("mp-backend")) {
     o.mp.backend = mp::parse_mp_backend(args.get("mp-backend"));
   }
   o.mp.deadline_seconds = args.get_double("mp-deadline", o.mp.deadline_seconds);
-  o.mp.shm_slot_bytes = static_cast<std::size_t>(
-      args.get_int("mp-shm-slot", static_cast<long>(o.mp.shm_slot_bytes)));
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
+  o.mp.shm_slot_bytes = args.get_count("mp-shm-slot", o.mp.shm_slot_bytes);
+  const int ranks = args.get_count("ranks", 1);
   for (const std::string& spec : args.all("inject-fault")) {
     parse_fault_spec(spec, ranks, o.fault_plan);
   }
@@ -336,10 +349,10 @@ int cmd_generate(const Args& args) {
     const std::string name = args.get("workload");
     require(name == "drift",
             "generate: --workload only supports 'drift' (base + append batch)");
-    const auto records = static_cast<RecordIndex>(args.get_int("records", 100000));
-    const auto batch_records = static_cast<RecordIndex>(
-        args.get_int("append-records", static_cast<long>(records / 4)));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 81));
+    const auto records = args.get_count<RecordIndex>("records", 100000);
+    const auto batch_records =
+        args.get_count<RecordIndex>("append-records", records / 4);
+    const auto seed = args.get_count<std::uint64_t>("seed", 81);
     const GeneratorConfig base_cfg = workloads::drift_base(records, seed);
     // Distinct stream for the batch so base + batch never share records.
     const GeneratorConfig batch_cfg =
@@ -351,9 +364,9 @@ int cmd_generate(const Args& args) {
     return 0;
   }
   GeneratorConfig cfg;
-  cfg.num_dims = static_cast<std::size_t>(args.get_int("dims", 10));
-  cfg.num_records = static_cast<RecordIndex>(args.get_int("records", 100000));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  cfg.num_dims = args.get_count<std::size_t>("dims", 10);
+  cfg.num_records = args.get_count<RecordIndex>("records", 100000);
+  cfg.seed = args.get_count<std::uint64_t>("seed", 1);
   cfg.noise_fraction = args.get_double("noise", 0.10);
   for (const std::string& spec : args.all("cluster")) {
     cfg.clusters.push_back(parse_cluster(spec));
@@ -368,16 +381,16 @@ int cmd_cluster(const Args& args) {
   require(!path.empty(), "cluster: --data is required");
   const Dataset data = load_data(path);
   InMemorySource source(data);
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
+  const int ranks = args.get_count("ranks", 1);
 
   MafiaResult result;
   if (args.get("algorithm", "mafia") == "clique") {
     CliqueOptions co;
-    co.xi = static_cast<std::size_t>(args.get_int("xi", 10));
+    co.xi = args.get_count<std::size_t>("xi", 10);
     co.tau_fraction = args.get_double("tau", 0.01);
     if (args.has("domain-lo") || args.has("domain-hi")) {
-      co.fixed_domain = {{static_cast<Value>(args.get_double("domain-lo", 0.0)),
-                          static_cast<Value>(args.get_double("domain-hi", 100.0))}};
+      co.fixed_domain = {{args.get_value("domain-lo", 0.0f),
+                          args.get_value("domain-hi", 100.0f)}};
     }
     result = run_clique(source, co, ranks);
   } else {
@@ -455,7 +468,7 @@ int cmd_append(const Args& args) {
       batch_path, static_cast<std::uint64_t>(batch.num_records()));
 
   InMemorySource source(data);
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
+  const int ranks = args.get_count("ranks", 1);
   const MafiaResult result = run_pmafia(source, o, ranks);
   std::fputs(render_report(result).c_str(), stdout);
   if (args.has("report-json")) {
@@ -488,7 +501,7 @@ int cmd_assign(const Args& args) {
             "assign: model dimensionality does not match the data");
   } else {
     MafiaResult result = run_pmafia(source, options_from_args(args),
-                                    static_cast<int>(args.get_int("ranks", 1)));
+                                    args.get_count("ranks", 1));
     grids = std::move(result.grids);
     clusters = std::move(result.clusters);
   }
@@ -540,7 +553,7 @@ int cmd_scoreboard(const Args& args) {
   const std::vector<std::string> algorithms =
       args.has("algorithms") ? split_list(args.get("algorithms"))
                              : eval::algorithm_names();
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
+  const int ranks = args.get_count("ranks", 1);
 
   eval::ScoreboardResult result;
   if (args.has("data")) {
@@ -556,20 +569,17 @@ int cmd_scoreboard(const Args& args) {
                   ErrorClass::Input);
     }
     eval::AdapterHints hints;
-    hints.true_clusters = static_cast<std::size_t>(
-        args.get_int("true-clusters", static_cast<long>(hints.true_clusters)));
-    hints.min_cluster_dims = static_cast<std::size_t>(
-        args.get_int("min-dims", static_cast<long>(hints.min_cluster_dims)));
-    hints.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    hints.true_clusters = args.get_count("true-clusters", hints.true_clusters);
+    hints.min_cluster_dims = args.get_count("min-dims", hints.min_cluster_dims);
+    hints.seed = args.get_count<std::uint64_t>("seed", 1);
     result.records = data.num_records();
     result.seed = hints.seed;
     result.ranks = ranks;
     result.workloads.push_back(eval::score_dataset(
         args.get("data"), data, algorithms, hints, ranks));
   } else {
-    const auto records =
-        static_cast<RecordIndex>(args.get_int("records", 2000));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    const auto records = args.get_count<RecordIndex>("records", 2000);
+    const auto seed = args.get_count<std::uint64_t>("seed", 7);
     result = eval::run_scoreboard(workloads, algorithms, records, seed, ranks);
   }
 
@@ -600,10 +610,8 @@ int cmd_serve(const Args& args) {
   require(!o.model_path.empty(), "serve: --model is required");
   o.listen = args.get("listen");
   require(!o.listen.empty(), "serve: --listen is required");
-  o.serve_threads = static_cast<std::size_t>(
-      args.get_int("serve-threads", static_cast<long>(o.serve_threads)));
-  o.max_batch = static_cast<std::size_t>(
-      args.get_int("max-batch", static_cast<long>(o.max_batch)));
+  o.serve_threads = args.get_count("serve-threads", o.serve_threads);
+  o.max_batch = args.get_count("max-batch", o.max_batch);
   o.validate();
 
   serve::ServeServer server(o);
@@ -643,8 +651,7 @@ int cmd_query(const Args& args) {
   const std::string path = args.get("data");
   require(!path.empty(), "query: --data or --stats is required");
   const Dataset data = load_data(path);
-  const auto max_batch =
-      static_cast<std::size_t>(args.get_int("max-batch", 4096));
+  const auto max_batch = args.get_count<std::size_t>("max-batch", 4096);
   require(max_batch >= 1, "query: --max-batch must be positive");
 
   std::vector<std::int32_t> labels;
@@ -697,7 +704,7 @@ int cmd_query(const Args& args) {
 int cmd_stage(const Args& args) {
   const std::string path = args.get("data");
   require(!path.empty(), "stage: --data is required");
-  const int ranks = static_cast<int>(args.get_int("ranks", 4));
+  const int ranks = args.get_count("ranks", 4);
   const std::string prefix = args.get("prefix", path + ".local");
   const StagedPartitions staged = stage_partitions(path, prefix, ranks);
   std::printf("staged %llu records into %d local partitions (%.3f s):\n",
@@ -721,7 +728,6 @@ void usage() {
       "           [--noise-sigmas S] [--min-dims K] [--chunk B]\n"
       "           [--domain-lo L --domain-hi H] [--xi N --tau F]\n"
       "           [--save model.txt] [--report-json report.json]\n"
-      "           [--io-prefetch] [--io-buffers N]\n"
       "           [--checkpoint-dir DIR] [--resume] [--max-cdu-bytes N]\n"
       "           (a budget below the run index rescans every level in\n"
       "            --chunk batches instead of failing)\n"
